@@ -181,13 +181,9 @@ func (db *DB) replacePlan(key string, old, next *Plan) bool {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
 	el, ok := db.plans.entries[key]
-	if !ok {
+	if !ok || el.Value.(*lruEntry[*Plan]).val != old {
 		return false
 	}
-	e := el.Value.(*planEntry)
-	if e.plan != old {
-		return false
-	}
-	e.plan = next
+	el.Value.(*lruEntry[*Plan]).val = next
 	return true
 }

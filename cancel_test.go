@@ -65,13 +65,14 @@ func resultsEqual(t *testing.T, label string, ref, got *Result) {
 // (via a fault-injected context cancel), asserting the canceled run
 // returns the typed error and no partial result — and that an
 // uncanceled re-run of the same prepared query is bit-identical
-// (rows and pred-evals) to the untouched reference. Serial and
-// parallel paths are both walked.
+// (rows and pred-evals) to the untouched reference. The inline
+// single-worker run and a scatter over concurrent workers are both
+// walked.
 func TestCancelDifferential(t *testing.T) {
 	defer fault.Reset()
 	// Checkpoint cadence is per cluster search (the counter resets with
 	// each FindAll), so clusters must individually exceed 1024 pred-evals.
-	_, q := cancelDB(t, 6, 2500)
+	db, q := cancelDB(t, 6, 2500)
 
 	ref, err := q.RunWith(RunOptions{})
 	if err != nil {
@@ -97,6 +98,7 @@ func TestCancelDifferential(t *testing.T) {
 
 	grid := []int64{1, 2, 3, checkpoints / 2, checkpoints - 1}
 	for _, parallel := range []bool{false, true} {
+		opts := fanOut(db, parallel)
 		for _, k := range grid {
 			if k < 1 || k > checkpoints {
 				continue
@@ -116,7 +118,9 @@ func TestCancelDifferential(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				res, err := q.RunWith(RunOptions{Context: ctx, Parallel: parallel})
+				copts := opts
+				copts.Context = ctx
+				res, err := q.RunWith(copts)
 				if res != nil {
 					t.Fatalf("canceled run returned a partial result (%d rows)", len(res.Rows))
 				}
@@ -126,7 +130,7 @@ func TestCancelDifferential(t *testing.T) {
 				fault.Reset()
 				// The cancellation must leave no residue: the same
 				// prepared query re-runs bit-identically.
-				rerun, err := q.RunWith(RunOptions{Parallel: parallel})
+				rerun, err := q.RunWith(opts)
 				if err != nil {
 					t.Fatalf("re-run after cancel: %v", err)
 				}
@@ -186,7 +190,7 @@ func TestDeadline(t *testing.T) {
 // boundaries — overshoot is at most one cluster, never a partial
 // Result).
 func TestMaxMatches(t *testing.T) {
-	_, q := cancelDB(t, 12, 200)
+	db, q := cancelDB(t, 12, 200)
 	ref, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +199,9 @@ func TestMaxMatches(t *testing.T) {
 		t.Fatalf("workload produced %d matches; need >= 2", ref.Stats.Matches)
 	}
 	for _, parallel := range []bool{false, true} {
-		res, err := q.RunWith(RunOptions{MaxMatches: 1, Parallel: parallel})
+		opts := fanOut(db, parallel)
+		opts.MaxMatches = 1
+		res, err := q.RunWith(opts)
 		if res != nil {
 			t.Fatalf("parallel=%v: over-budget run returned a result", parallel)
 		}
@@ -260,4 +266,23 @@ func TestStreamCancel(t *testing.T) {
 	if err := st.Close(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Close after cancel: %v; want ErrCanceled", err)
 	}
+}
+
+func valuesEqual(a, b storage.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() == b.IsNull()
+	}
+	return a.Equal(b)
+}
+
+// fanOut sets db up for a run on one inline worker (parallel=false: one
+// shard) or on several concurrent workers (parallel=true: four shards,
+// MaxWorkers 4 whatever GOMAXPROCS is) and returns the run options.
+func fanOut(db *DB, parallel bool) RunOptions {
+	if !parallel {
+		db.SetShards(1)
+		return RunOptions{}
+	}
+	db.SetShards(4)
+	return RunOptions{MaxWorkers: 4}
 }

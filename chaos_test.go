@@ -28,12 +28,14 @@ var chaosSites = []string{
 	"engine.stream.push",
 	"sqlts.admission",
 	"sqlts.execute.cluster",
-	"sqlts.parallel.worker",
 }
 
+// chaosDB spreads its clusters over four shards, so a run scatters
+// over concurrent workers unless MaxWorkers is 1.
 func chaosDB(t testing.TB) (*DB, *Query) {
 	t.Helper()
 	db := quoteDB(t)
+	db.SetShards(4)
 	for s := 0; s < 6; s++ {
 		prices := workload.GeometricWalk(workload.WalkConfig{
 			Seed: int64(s + 7), N: 1500, Start: 40 + float64(s), Drift: 0, Vol: 0.025,
@@ -122,9 +124,11 @@ func TestChaos(t *testing.T) {
 					go func(c int) {
 						defer wg.Done()
 						for i := 0; i < iters; i++ {
+							// Even clients run inline on one worker,
+							// odd ones scatter over up to four.
 							res, err := q.RunWith(RunOptions{
-								Context:  context.Background(),
-								Parallel: c%2 == 1,
+								Context:    context.Background(),
+								MaxWorkers: 1 + 3*(c%2),
 							})
 							if err == nil {
 								okRuns[c]++

@@ -27,8 +27,8 @@ import (
 //	\exec NAME    switch executor (ops, naive, ops+skip, ...)
 //	\vectorize    toggle the batch mask kernels (on by default; off
 //	              evaluates probes row-at-a-time — identical results)
-//	\workers [n]  bound parallel/shard fan-out to n workers per
-//	              statement (0 = default, GOMAXPROCS)
+//	\workers [n]  bound the fan-out to n workers per statement
+//	              (0 = default, GOMAXPROCS; never more than shards)
 //	\counters     toggle the per-query counter line after each SELECT
 //	\stats        print the per-statement statistics table (calls,
 //	              latency quantiles, pred-evals, cache hit rates)
@@ -288,7 +288,7 @@ type execOpts struct {
 	timing  bool
 	// noVectorize disables the batch mask kernels (RunOptions.NoVectorize).
 	noVectorize bool
-	// workers bounds parallel/shard fan-out (RunOptions.MaxWorkers; 0 =
+	// workers bounds the fan-out (RunOptions.MaxWorkers; 0 =
 	// GOMAXPROCS default).
 	workers int
 	// timeout bounds each statement via RunOptions.Deadline (0 = none).

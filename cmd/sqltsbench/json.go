@@ -280,11 +280,11 @@ func writeBenchJSON(path, variant string, seed int64, shardClusters int) error {
 	e.PredEvals = evals
 	doc.Entries = append(doc.Entries, e)
 
-	// Serving-sharded: the PR 9 scatter-gather path over a many-small-
-	// clusters workload (the shape it targets). warm-1shard is the flat
-	// serial baseline, warm-8shard the 8-way scatter; pred-evals must be
-	// identical, and on a multi-core recorder (gomaxprocs above) the
-	// 8-shard ns/op shows the scaling.
+	// Serving-sharded: the scatter-gather path over a many-small-
+	// clusters workload (the shape it targets). warm-1shard is the
+	// single-shard inline baseline, warm-8shard the 8-way scatter;
+	// pred-evals must be identical, and on a multi-core recorder
+	// (gomaxprocs above) the 8-shard ns/op shows the scaling.
 	entries, err := shardedServingEntries(variant, seed, shardClusters)
 	if err != nil {
 		return err
@@ -308,8 +308,8 @@ func writeBenchJSON(path, variant string, seed int64, shardClusters int) error {
 }
 
 // shardedServingEntries measures warm serving of the relaxed
-// double-bottom query over a clusters-symbol quote table, flat versus
-// sharded 8 ways.
+// double-bottom query over a clusters-symbol quote table, one shard
+// versus eight.
 func shardedServingEntries(variant string, seed int64, clusters int) ([]benchEntry, error) {
 	if clusters <= 0 {
 		return nil, nil

@@ -136,8 +136,8 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
-// TestClusterStats checks the per-cluster breakdown on both execution
-// paths: every cluster appears (with or without matches) and the
+// TestClusterStats checks the per-cluster breakdown for an inline and a
+// multi-worker run: every cluster appears (with or without matches) and the
 // per-cluster counters sum to the aggregate.
 func TestClusterStats(t *testing.T) {
 	db := quoteDB(t)
@@ -151,7 +151,7 @@ func TestClusterStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parallel := range []bool{false, true} {
-		res, err := q.RunWith(RunOptions{Parallel: parallel})
+		res, err := q.RunWith(fanOut(db, parallel))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -96,7 +96,7 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestFlightProgressMonotonic walks one serial multi-cluster run and
+// TestFlightProgressMonotonic walks one inline multi-cluster run and
 // snapshots the flight at every cluster boundary: clusters-done must
 // never decrease, stay below the total mid-run, and equal the total
 // once the run succeeds.
@@ -131,7 +131,7 @@ func TestFlightProgressMonotonic(t *testing.T) {
 	}
 	for i, s := range snaps {
 		// The fault point fires before cluster i's search, after
-		// clusters 0..i-1 ticked: the serial path's progress is exact.
+		// clusters 0..i-1 ticked: the inline path's progress is exact.
 		if s.ClustersDone != int64(i) {
 			t.Errorf("boundary %d: clusters_done = %d, want %d", i, s.ClustersDone, i)
 		}
@@ -168,12 +168,11 @@ func TestFlightKillHTTP(t *testing.T) {
 	defer testutil.LeakCheck(t)()
 	db, q := cancelDB(t, 12, 200)
 	db.SetShards(4)
-	defer db.SetShards(0)
 
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	if err := fault.Arm("sqlts.parallel.worker", fault.Action{Fn: func() error {
+	if err := fault.Arm("sqlts.execute.cluster", fault.Action{Fn: func() error {
 		once.Do(func() { close(started) })
 		<-release
 		return nil
@@ -318,6 +317,7 @@ func TestFlightRaceKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	opts := fanOut(db, true)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -330,7 +330,7 @@ func TestFlightRaceKill(t *testing.T) {
 					return
 				default:
 				}
-				_, err := q.RunWith(RunOptions{Parallel: true})
+				_, err := q.RunWith(opts)
 				if err != nil && !errors.Is(err, ErrKilled) {
 					t.Errorf("run failed with a non-kill error: %v", err)
 					return

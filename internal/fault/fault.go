@@ -1,6 +1,6 @@
 // Package fault provides named fault-injection sites for deterministic
 // robustness testing. Production code declares a Point per interesting
-// location (an executor checkpoint, a parallel worker, the admission
+// location (an executor checkpoint, a cluster search, the admission
 // gate) and calls Fire at it; tests Arm points with delays, errors or
 // panics and exercise the full serving path against them.
 //

@@ -85,8 +85,8 @@ type Flight struct {
 	predEvals     atomic.Int64
 	pushes        atomic.Int64
 
-	// shards is the per-shard progress block, attached once by the
-	// scatter-gather path (nil on flat executions).
+	// shards is the per-shard progress block, attached once by
+	// executions over several shards (nil otherwise).
 	shards atomic.Pointer[[]*shardProgress]
 
 	// kill is set once by Kill; executors observe it at their

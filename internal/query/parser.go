@@ -50,8 +50,24 @@ func ParseScript(src string) ([]Stmt, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // current expression nesting (see nest)
+}
+
+// maxExprDepth bounds expression nesting — parentheses, unary minus and
+// NOT — so deeply nested input fails with a SyntaxError instead of
+// overflowing the goroutine stack, which no recover can catch.
+const maxExprDepth = 1000
+
+// nest enters one level of expression nesting at token t; the caller
+// leaves it with p.depth-- once the nested operand is parsed.
+func (p *parser) nest(t Token) error {
+	p.depth++
+	if p.depth > maxExprDepth {
+		return errf(t.Line, t.Col, "expression nested deeper than %d levels", maxExprDepth)
+	}
+	return nil
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -379,8 +395,12 @@ func (p *parser) andExpr() (Expr, error) {
 }
 
 func (p *parser) notExpr() (Expr, error) {
-	if p.accept(TokKeyword, "NOT") {
+	if t := p.cur(); p.accept(TokKeyword, "NOT") {
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		x, err := p.notExpr()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -442,8 +462,12 @@ func (p *parser) mulExpr() (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
-	if p.accept(TokOp, "-") {
+	if t := p.cur(); p.accept(TokOp, "-") {
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		x, err := p.unary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -500,7 +524,11 @@ func (p *parser) primary() (Expr, error) {
 		return p.fieldTail(&FieldRef{Var: t.Text}, t)
 	case t.Kind == TokOp && t.Text == "(":
 		p.pos++
+		if err := p.nest(t); err != nil {
+			return nil, err
+		}
 		e, err := p.expression()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}

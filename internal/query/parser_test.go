@@ -219,6 +219,35 @@ func TestSyntaxErrorPosition(t *testing.T) {
 	}
 }
 
+// TestParseDepthLimit: a million nested parentheses, unary minuses or
+// NOTs fail with a SyntaxError at the first token past the nesting
+// limit instead of overflowing the stack; nesting at the limit parses.
+func TestParseDepthLimit(t *testing.T) {
+	const prefix = "SELECT a FROM t WHERE "
+	for _, c := range []struct {
+		name, open, close string
+	}{
+		{"parens", "(", ")"},
+		{"minus", "- ", ""}, // "--" would open a comment
+		{"not", "NOT ", ""},
+	} {
+		deep := prefix + strings.Repeat(c.open, 1_000_000) + "1" + strings.Repeat(c.close, 1_000_000)
+		_, err := Parse(deep)
+		se, ok := err.(*SyntaxError)
+		if !ok {
+			t.Fatalf("%s: error %v (%T), want *SyntaxError", c.name, err, err)
+		}
+		wantCol := len(prefix) + maxExprDepth*len(c.open) + 1
+		if se.Line != 1 || se.Col != wantCol || !strings.Contains(se.Msg, "nested deeper than") {
+			t.Errorf("%s: error %v at %d:%d, want the nesting limit at 1:%d", c.name, err, se.Line, se.Col, wantCol)
+		}
+		ok1 := prefix + strings.Repeat(c.open, maxExprDepth) + "1" + strings.Repeat(c.close, maxExprDepth)
+		if _, err := Parse(ok1); err != nil {
+			t.Errorf("%s: nesting at the limit: %v", c.name, err)
+		}
+	}
+}
+
 // TestRenderRoundTrip: parsing the rendered form of a statement yields an
 // identical rendering (fixed point after one round).
 func TestRenderRoundTrip(t *testing.T) {

@@ -1,9 +1,9 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"sqlts/internal/engine"
@@ -11,46 +11,41 @@ import (
 	"sqlts/internal/storage"
 )
 
-// ClusterResult is the per-cluster unit streamed back from a Runner: the
-// matches, projected output rows, and search counters of one cluster, or
-// the error that stopped it. Exactly one ClusterResult is emitted per
-// cluster a runner owns (fewer only after an early stop).
+// ClusterResult is the per-cluster unit a Runner hands to the gatherer:
+// the cluster searched, the shard that owns it, and what the search
+// found. A single runner reuses one ClusterResult for all its clusters,
+// so emit callbacks must not retain the pointer past the call.
 type ClusterResult struct {
-	// Global is the cluster's table-wide index in first-appearance order
-	// — the order serial execution visits clusters.
-	Global int
-	// Rows is the cluster's input row count.
-	Rows int
+	// Cluster is the cluster searched: its table-wide index in
+	// first-appearance order (the order results are emitted in) and its
+	// sequence-sorted input rows.
+	Cluster
+	// Shard is the ID of the shard owning the cluster.
+	Shard int
 	// Matches and Out are the pattern matches and their projected output
 	// rows, in match order.
 	Matches []engine.Match
 	Out     []storage.Row
 	// Stats are the search counters accumulated within the cluster.
 	Stats engine.Stats
-	// Err poisons the scatter: the shared stop flag flips and no further
-	// clusters are claimed anywhere.
-	Err error
 }
 
 // Searcher runs the compiled pattern over single clusters. One Searcher
-// is created per worker goroutine — executors carry per-search state —
-// and is handed each cluster's rows plus that cluster's memoized
+// is created per runner — executors carry per-search state — and is
+// handed each cluster (cr.Cluster) plus that cluster's memoized
 // projection and mask set (nil when the request disabled them or the
-// kernel compiled nothing). Implementations own their containment
-// boundary: a panicking predicate must come back as Err, not unwind.
+// kernel compiled nothing). Search fills cr.Matches, cr.Out and
+// cr.Stats, or returns the error that stops the scatter.
+// Implementations own their containment boundary: a panicking predicate
+// must come back as an error, not unwind.
 type Searcher interface {
-	Search(global int, rows []storage.Row, proj *storage.Projection, masks *pattern.MaskSet) ClusterResult
+	Search(cr *ClusterResult, proj *storage.Projection, masks *pattern.MaskSet) error
 }
 
 // Request is one scatter-gather execution over a set of runners: the
-// plan goes in (kernel + searcher factory locally, statement text for
-// remote runners), a merged match stream comes out.
+// plan goes in (kernel + searcher factory), a merged match stream comes
+// out.
 type Request struct {
-	// SQL is the canonical statement text. In-process runners ignore it;
-	// a remote runner compiles its own plan from it, which is what lets
-	// one slot in behind the Runner interface without planner changes.
-	SQL string
-
 	// Kernel keys the per-shard memoized projections and mask sets.
 	Kernel *pattern.Kernel
 	// NoProjections skips the memoized columnar projections (the
@@ -59,82 +54,47 @@ type Request struct {
 	NoProjections bool
 	NoMasks       bool
 
-	// NewSearcher returns a fresh per-worker searcher. vectorized
+	// NewSearcher returns a fresh per-runner searcher. vectorized
 	// reports whether Search calls will be handed mask sets, so the
 	// implementation can configure its executor once.
 	NewSearcher func(vectorized bool) Searcher
-
-	// Buffer bounds each runner's in-flight results (the channel
-	// capacity between a runner and the gatherer); values < 1 mean 1.
-	Buffer int
-
-	// OnCluster, when non-nil, is invoked by runners after each
-	// successful cluster result is handed off: shardID is the owning
-	// shard's ID, global the cluster's table-wide index. It runs on
-	// runner goroutines concurrently across groups — implementations
-	// must be cheap and concurrency-safe. Per-shard progress reporting
-	// hangs off this hook.
-	OnCluster func(shardID, global int)
-
-	// Stop is the scatter-wide early-stop flag: the first error flips it
-	// and every runner stops claiming new clusters. Gather initializes
-	// it when nil; callers share one across requests to link stops.
-	Stop *atomic.Bool
 }
 
-func (r *Request) buffer() int {
-	if r.Buffer < 1 {
-		return 1
-	}
-	return r.Buffer
-}
-
-// Runner is the scatter unit: it owns a fixed set of clusters and
-// streams their results back in ascending global order. Group is the
-// in-process implementation over one or more shards; a remote shard
-// server would implement the same contract against Request.SQL.
+// Runner is the scatter unit: it owns a fixed set of clusters and hands
+// their results to emit in ascending global order. Group is the
+// in-process implementation over one or more shards.
 type Runner interface {
 	// Globals returns the ascending global indices of the clusters the
 	// runner emits.
 	Globals() []int
-	// Run executes the request, sending one ClusterResult per cluster on
-	// out in ascending global order, and closes out when done or when
-	// req.Stop flips. The gatherer consumes every channel to the end, so
-	// Run never blocks forever on out.
-	Run(req *Request, out chan<- ClusterResult)
+	// Run searches the runner's clusters, calling emit once per cluster
+	// in ascending global order, and returns the first error a search or
+	// emit reported (nil only after every cluster was emitted).
+	Run(req *Request, emit func(*ClusterResult) error) error
 }
 
-// Group is a set of shards executed by one in-process worker pool. Its
-// clusters — the union of its shards' — are claimed and emitted in
-// ascending global order, which is what lets the gatherer stream-merge
-// groups with one bounded channel each. Grouping exists because worker
-// budgets can be smaller than shard counts: W workers over N shards run
-// as min(W, N) groups, so no shard ever waits on a whole pool.
+// Group is a set of shards searched by one worker. Its clusters — the
+// union of its shards' — are searched and emitted in ascending global
+// order, which is what lets the gatherer stream-merge groups with one
+// bounded channel each.
 type Group struct {
 	shards  []*Shard
 	refs    []groupRef // parallel to globals; ascending global order
 	globals []int
-	workers int
 }
 
 // groupRef locates one cluster inside a Group's shard list.
 type groupRef struct{ slot, local int32 }
 
-// Shards returns the group's shards.
-func (g *Group) Shards() []*Shard { return g.shards }
-
-// Workers returns the group's worker budget.
-func (g *Group) Workers() int { return g.workers }
-
 // Globals implements Runner.
 func (g *Group) Globals() []int { return g.globals }
 
 // Layout plans a scatter over p for a worker budget: shards holding
-// clusters are dealt round-robin into min(workers, shards) groups and
-// the budget is split across groups, remainder to the earliest. Layouts
-// are pure functions of the (immutable) partition and the budget, so
-// they are memoized per partition generation — warm queries reuse the
-// group structure the way they reuse projections.
+// clusters are dealt round-robin into min(workers, non-empty shards)
+// groups, one worker each. Layouts are pure functions of the
+// (immutable) partition and the budget, so they are memoized per
+// partition generation — warm queries reuse the group structure the way
+// they reuse projections.
 func Layout(p *Partition, workers int) []*Group {
 	if workers < 1 {
 		workers = 1
@@ -182,11 +142,7 @@ func buildLayout(p *Partition, workers int) []*Group {
 		slotOf[sid] = int32(len(g.shards))
 		g.shards = append(g.shards, p.shards[sid])
 	}
-	for i, g := range groups {
-		g.workers = workers / ngroups
-		if i < workers%ngroups {
-			g.workers++
-		}
+	for _, g := range groups {
 		n := 0
 		for _, s := range g.shards {
 			n += len(s.clusters)
@@ -214,9 +170,8 @@ func Runners(groups []*Group) []Runner {
 }
 
 // fetch resolves the memoized projections and masks for each of the
-// group's shards per the request's kernel settings, mirroring the flat
-// path's rules: projections only when the kernel compiled something,
-// masks only on top of projections.
+// group's shards per the request's kernel settings: projections only
+// when the kernel compiled something, masks only on top of projections.
 func (g *Group) fetch(req *Request) (projs [][]*storage.Projection, masks [][]*pattern.MaskSet, vectorized bool) {
 	projs = make([][]*storage.Projection, len(g.shards))
 	masks = make([][]*pattern.MaskSet, len(g.shards))
@@ -234,169 +189,103 @@ func (g *Group) fetch(req *Request) (projs [][]*storage.Projection, masks [][]*p
 	return projs, masks, vectorized
 }
 
-// search runs one claimed cluster through s with its memoized inputs.
-func (g *Group) search(s Searcher, i int, projs [][]*storage.Projection, masks [][]*pattern.MaskSet) ClusterResult {
-	r := g.refs[i]
-	c := g.shards[r.slot].clusters[r.local]
-	var p *storage.Projection
-	var m *pattern.MaskSet
-	if projs[r.slot] != nil {
-		p = projs[r.slot][r.local]
-	}
-	if masks[r.slot] != nil {
-		m = masks[r.slot][r.local]
-	}
-	res := s.Search(c.Global, c.Rows, p, m)
-	res.Global = c.Global
-	res.Rows = len(c.Rows)
-	return res
-}
-
-// panicResult converts a panic that escaped a searcher (the Searcher
-// contract says it shouldn't, but a runner must never deadlock the
-// gatherer on a contract violation) into an error result.
-func panicResult(global int, r any) ClusterResult {
-	return ClusterResult{
-		Global: global,
-		Err:    fmt.Errorf("shard: runner panic: %v\n%s", r, debug.Stack()),
-	}
-}
-
-// Run implements Runner: the group's clusters are claimed in ascending
-// global order by up to Workers() goroutines and emitted on out in that
-// same order. Ordering under concurrency comes from the slot queue:
-// claiming a cluster and enqueueing its 1-slot result channel happen
-// under one lock, so slot order equals claim order equals global order,
-// and a single forwarder drains slots in sequence. The slot queue's
-// capacity doubles as the in-flight bound: a claim blocks (lock held)
-// once workers run too far ahead of the consumer.
-func (g *Group) Run(req *Request, out chan<- ClusterResult) {
-	defer close(out)
+// Run implements Runner: one searcher walks the group's clusters in
+// ascending global order, reusing a single ClusterResult.
+func (g *Group) Run(req *Request, emit func(*ClusterResult) error) error {
 	if len(g.refs) == 0 {
-		return
+		return nil
 	}
 	projs, masks, vectorized := g.fetch(req)
-	workers := g.workers
-	if workers > len(g.refs) {
-		workers = len(g.refs)
-	}
-	if workers <= 1 {
-		var s Searcher
-		for i := range g.refs {
-			if req.Stop.Load() {
-				return
-			}
-			res := func() (cr ClusterResult) {
-				defer func() {
-					if r := recover(); r != nil {
-						cr = panicResult(g.globals[i], r)
-					}
-				}()
-				if s == nil {
-					s = req.NewSearcher(vectorized)
-				}
-				return g.search(s, i, projs, masks)
-			}()
-			out <- res
-			if res.Err != nil {
-				req.Stop.Store(true)
-				return
-			}
-			if req.OnCluster != nil {
-				req.OnCluster(g.shards[g.refs[i].slot].ID(), g.globals[i])
-			}
+	s := req.NewSearcher(vectorized)
+	var cr ClusterResult
+	for _, r := range g.refs {
+		sh := g.shards[r.slot]
+		cr = ClusterResult{Cluster: sh.clusters[r.local], Shard: sh.id}
+		var p *storage.Projection
+		var m *pattern.MaskSet
+		if projs[r.slot] != nil {
+			p = projs[r.slot][r.local]
 		}
-		return
-	}
-
-	// Slot queue: claim order == emit order, capacity bounds run-ahead.
-	slots := make(chan chan ClusterResult, workers+req.buffer())
-	var mu sync.Mutex
-	next := 0
-	claim := func() (int, chan ClusterResult, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(g.refs) || req.Stop.Load() {
-			return 0, nil, false
+		if masks[r.slot] != nil {
+			m = masks[r.slot][r.local]
 		}
-		i := next
-		next++
-		c := make(chan ClusterResult, 1)
-		slots <- c
-		return i, c, true
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s Searcher
-			for {
-				i, c, ok := claim()
-				if !ok {
-					return
-				}
-				// Every claimed slot receives exactly one result — on a
-				// panic, an error result — so the forwarder never hangs.
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							c <- panicResult(g.globals[i], r)
-						}
-					}()
-					if s == nil {
-						s = req.NewSearcher(vectorized)
-					}
-					c <- g.search(s, i, projs, masks)
-				}()
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(slots)
-	}()
-	// Slot order equals claim order equals ascending ref order, so the
-	// forwarder's position fi identifies each result's ref without any
-	// extra plumbing through the slot channels.
-	fi := 0
-	for c := range slots {
-		res := <-c
-		out <- res
-		if res.Err != nil {
-			req.Stop.Store(true)
-		} else if req.OnCluster != nil {
-			req.OnCluster(g.shards[g.refs[fi].slot].ID(), g.globals[fi])
+		if err := s.Search(&cr, p, m); err != nil {
+			return err
 		}
-		fi++
+		if err := emit(&cr); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-// Gather scatters req across the runners and stream-merges their
-// per-cluster results back in ascending global order, invoking emit
-// once per cluster. Each runner gets one bounded channel (req.Buffer);
-// merging is a k-way walk over the runners' ascending global lists, so
-// memory in flight is O(runners × buffer), never O(clusters). The first
-// error — a cluster's, or emit's — flips the shared stop flag, and
-// Gather drains every channel so all runner goroutines exit before it
-// returns that error.
-func Gather(runners []Runner, req *Request, emit func(ClusterResult) error) error {
-	if req.Stop == nil {
-		req.Stop = new(atomic.Bool)
+// runnerBuffer bounds each concurrent runner's in-flight results (the
+// channel between it and the gatherer): deep enough that a runner
+// rarely stalls while the merge drains another runner's clusters,
+// shallow enough that a fast runner cannot buffer an unbounded backlog
+// while the merge waits on a slow one.
+const runnerBuffer = 16
+
+// errStopped is what a concurrent runner's emit returns once another
+// runner (or the consumer) has failed; it is never reported.
+var errStopped = errors.New("shard: scatter stopped")
+
+// runnerPanic converts a panic that escaped a runner (the Searcher
+// contract says it shouldn't) into an error, so a contract violation
+// never unwinds a runner goroutine or deadlocks the gatherer.
+func runnerPanic(r any) error {
+	return fmt.Errorf("shard: runner panic: %v\n%s", r, debug.Stack())
+}
+
+// Gather runs req across the runners and hands their per-cluster
+// results to emit in ascending global order. A single runner runs
+// inline on the caller's goroutine and emits straight through, with no
+// channel and no copy. Several runners each get a goroutine and one
+// bounded channel; merging is a k-way walk over the runners' ascending
+// global lists, so memory in flight is O(runners × runnerBuffer), never
+// O(clusters). The first error — a cluster's, or emit's — stops every
+// runner, and Gather waits for all of them before returning it.
+func Gather(runners []Runner, req *Request, emit func(*ClusterResult) error) (err error) {
+	if len(runners) == 1 {
+		defer func() {
+			if r := recover(); r != nil {
+				err = runnerPanic(r)
+			}
+		}()
+		return runners[0].Run(req, emit)
 	}
+
+	var stop atomic.Bool
 	total := 0
 	heads := make([][]int, len(runners))
+	chans := make([]chan ClusterResult, len(runners))
+	errs := make([]error, len(runners))
 	for i, r := range runners {
 		heads[i] = r.Globals()
 		total += len(heads[i])
-	}
-	chans := make([]chan ClusterResult, len(runners))
-	for i, r := range runners {
-		chans[i] = make(chan ClusterResult, req.buffer())
-		go r.Run(req, chans[i])
+		ch := make(chan ClusterResult, runnerBuffer)
+		chans[i] = ch
+		go func() {
+			defer close(ch)
+			defer func() {
+				if p := recover(); p != nil {
+					errs[i] = runnerPanic(p)
+					stop.Store(true)
+				}
+			}()
+			errs[i] = r.Run(req, func(cr *ClusterResult) error {
+				if stop.Load() {
+					return errStopped
+				}
+				ch <- *cr
+				return nil
+			})
+			if errs[i] != nil {
+				stop.Store(true)
+			}
+		}()
 	}
 
-	var firstErr error
 	idx := make([]int, len(runners))
 	merged := 0
 	for merged < total {
@@ -412,43 +301,39 @@ func Gather(runners []Runner, req *Request, emit func(ClusterResult) error) erro
 				pick, best = i, g
 			}
 		}
-		if pick < 0 {
-			break
-		}
 		res, ok := <-chans[pick]
 		if !ok {
-			// The runner stopped early (another runner's failure flipped
-			// the stop flag); its error, if any, surfaces in the drain.
+			// The runner stopped early; its error surfaces below.
 			break
 		}
 		idx[pick]++
-		if res.Err != nil {
-			firstErr = res.Err
-			break
-		}
-		if err := emit(res); err != nil {
-			firstErr = err
+		if err = emit(&res); err != nil {
 			break
 		}
 		merged++
 	}
 
-	// Drain every channel to completion so all goroutines exit, adopting
-	// any error the merge loop didn't reach.
+	// Drain every channel to completion so all goroutines exit; each
+	// runner's error is written before its channel closes.
 	if merged < total {
-		req.Stop.Store(true)
+		stop.Store(true)
 	}
 	for _, ch := range chans {
-		for res := range ch {
-			if firstErr == nil && res.Err != nil {
-				firstErr = res.Err
-			}
+		for range ch {
 		}
 	}
-	if firstErr == nil && merged < total {
+	if err != nil {
+		return err
+	}
+	for _, e := range errs {
+		if e != nil && e != errStopped {
+			return e
+		}
+	}
+	if merged < total {
 		// A runner under-delivered without reporting an error; surface it
 		// rather than returning a silently truncated result.
-		firstErr = fmt.Errorf("shard: scatter stopped after %d/%d clusters without error", merged, total)
+		return fmt.Errorf("shard: scatter stopped after %d/%d clusters without error", merged, total)
 	}
-	return firstErr
+	return nil
 }

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"sqlts/internal/pattern"
 	"sqlts/internal/shard"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 )
 
 // fakeSearcher returns a deterministic per-cluster result keyed off the
@@ -23,25 +25,23 @@ type fakeSearcher struct {
 
 var errBoom = errors.New("boom")
 
-func (f *fakeSearcher) Search(global int, rows []storage.Row, proj *storage.Projection, masks *pattern.MaskSet) shard.ClusterResult {
+func (f *fakeSearcher) Search(cr *shard.ClusterResult, proj *storage.Projection, masks *pattern.MaskSet) error {
 	if f.calls != nil {
 		f.calls.Add(1)
 	}
-	if global == f.failAt {
-		return shard.ClusterResult{Err: errBoom}
+	if cr.Global == f.failAt {
+		return errBoom
 	}
-	if global == f.panicAt {
+	if cr.Global == f.panicAt {
 		panic("kaboom")
 	}
-	return shard.ClusterResult{
-		Stats: engine.Stats{PredEvals: int64(global + 1)},
-		Out:   []storage.Row{{storage.NewInt(int64(global))}},
-	}
+	cr.Stats = engine.Stats{PredEvals: int64(cr.Global + 1)}
+	cr.Out = []storage.Row{{storage.NewInt(int64(cr.Global))}}
+	return nil
 }
 
 func fakeRequest(failAt, panicAt int, calls *atomic.Int64) *shard.Request {
 	return &shard.Request{
-		Buffer: 4,
 		NewSearcher: func(bool) shard.Searcher {
 			return &fakeSearcher{failAt: failAt, panicAt: panicAt, calls: calls}
 		},
@@ -50,16 +50,20 @@ func fakeRequest(failAt, panicAt int, calls *atomic.Int64) *shard.Request {
 
 // TestLayoutCoverage: every worker budget must yield groups that cover
 // each global cluster exactly once, in ascending order per group, with
-// the whole budget distributed.
+// one worker per group: min(budget, non-empty shards) groups.
 func TestLayoutCoverage(t *testing.T) {
 	tbl := quoteTable(t, 12, 4)
 	p := buildFrom(t, tbl, 5)
+	active := 0
+	for _, s := range p.Shards() {
+		if s.NumClusters() > 0 {
+			active++
+		}
+	}
 	for _, workers := range []int{1, 2, 3, 5, 8, 32} {
 		groups := shard.Layout(p, workers)
 		seen := map[int]bool{}
-		budget := 0
 		for _, g := range groups {
-			budget += g.Workers()
 			last := -1
 			for _, gi := range g.Globals() {
 				if gi <= last {
@@ -75,8 +79,8 @@ func TestLayoutCoverage(t *testing.T) {
 		if len(seen) != p.NumClusters() {
 			t.Fatalf("workers=%d: layout covers %d clusters, want %d", workers, len(seen), p.NumClusters())
 		}
-		if budget != workers {
-			t.Fatalf("workers=%d: groups sum to %d workers", workers, budget)
+		if want := min(workers, active); len(groups) != want {
+			t.Fatalf("workers=%d: %d groups, want %d", workers, len(groups), want)
 		}
 	}
 }
@@ -109,7 +113,7 @@ func TestGatherOrderedAndComplete(t *testing.T) {
 		req := fakeRequest(-1, -1, nil)
 		var got []int
 		var evals int64
-		err := shard.Gather(shard.Runners(shard.Layout(p, workers)), req, func(cr shard.ClusterResult) error {
+		err := shard.Gather(shard.Runners(shard.Layout(p, workers)), req, func(cr *shard.ClusterResult) error {
 			got = append(got, cr.Global)
 			evals += cr.Stats.PredEvals
 			return nil
@@ -131,6 +135,42 @@ func TestGatherOrderedAndComplete(t *testing.T) {
 	}
 }
 
+// TestGatherSingleRunnerInline: one runner runs on the caller's
+// goroutine — no goroutine is started — and hands every cluster to emit
+// through one reused ClusterResult.
+func TestGatherSingleRunnerInline(t *testing.T) {
+	tbl := quoteTable(t, 9, 3)
+	p := buildFrom(t, tbl, 1)
+	runners := shard.Runners(shard.Layout(p, 4))
+	if len(runners) != 1 {
+		t.Fatalf("one shard laid out as %d runners", len(runners))
+	}
+	base := runtime.NumGoroutine()
+	var first *shard.ClusterResult
+	n := 0
+	err := shard.Gather(runners, fakeRequest(-1, -1, nil), func(cr *shard.ClusterResult) error {
+		if g := runtime.NumGoroutine(); g != base {
+			t.Errorf("cluster %d: %d goroutines during an inline gather, want %d", cr.Global, g, base)
+		}
+		if first == nil {
+			first = cr
+		} else if cr != first {
+			t.Errorf("cluster %d: ClusterResult not reused", cr.Global)
+		}
+		if cr.Global != n {
+			t.Errorf("position %d got cluster %d", n, cr.Global)
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != p.NumClusters() {
+		t.Fatalf("emitted %d clusters, want %d", n, p.NumClusters())
+	}
+}
+
 // TestGatherMergesInterleavedRunners: Gather's k-way merge must
 // interleave runners whose global lists alternate.
 func TestGatherMergesInterleavedRunners(t *testing.T) {
@@ -139,7 +179,7 @@ func TestGatherMergesInterleavedRunners(t *testing.T) {
 		&fakeRunner{globals: []int{1, 3, 5}},
 	}
 	var got []int
-	err := shard.Gather(runners, &shard.Request{}, func(cr shard.ClusterResult) error {
+	err := shard.Gather(runners, &shard.Request{}, func(cr *shard.ClusterResult) error {
 		got = append(got, cr.Global)
 		return nil
 	})
@@ -160,30 +200,34 @@ func TestGatherMergesInterleavedRunners(t *testing.T) {
 type fakeRunner struct{ globals []int }
 
 func (r *fakeRunner) Globals() []int { return r.globals }
-func (r *fakeRunner) Run(req *shard.Request, out chan<- shard.ClusterResult) {
-	defer close(out)
+func (r *fakeRunner) Run(req *shard.Request, emit func(*shard.ClusterResult) error) error {
 	for _, gi := range r.globals {
-		if req.Stop != nil && req.Stop.Load() {
-			return
+		if err := emit(&shard.ClusterResult{Cluster: shard.Cluster{Global: gi}}); err != nil {
+			return err
 		}
-		out <- shard.ClusterResult{Global: gi}
 	}
+	return nil
 }
 
-// TestGatherStopsOnError: a failing cluster surfaces its error, flips
-// the shared stop flag, and leaves no runner goroutine stuck.
+// TestGatherStopsOnError: a failing cluster surfaces its error, stops
+// the scatter short of the remaining clusters, and leaves no runner
+// goroutine stuck.
 func TestGatherStopsOnError(t *testing.T) {
+	defer testutil.LeakCheck(t)()
 	tbl := quoteTable(t, 20, 4)
 	p := buildFrom(t, tbl, 4)
-	var stop atomic.Bool
-	req := fakeRequest(7, -1, nil)
-	req.Stop = &stop
-	err := shard.Gather(shard.Runners(shard.Layout(p, 4)), req, func(shard.ClusterResult) error { return nil })
+	var emitted []int
+	err := shard.Gather(shard.Runners(shard.Layout(p, 4)), fakeRequest(7, -1, nil), func(cr *shard.ClusterResult) error {
+		emitted = append(emitted, cr.Global)
+		return nil
+	})
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want errBoom", err)
 	}
-	if !stop.Load() {
-		t.Fatal("stop flag not flipped after a cluster error")
+	for _, gi := range emitted {
+		if gi >= 7 {
+			t.Fatalf("cluster %d emitted at or after the failing cluster 7", gi)
+		}
 	}
 }
 
@@ -194,7 +238,7 @@ func TestGatherEarlyStopSkipsWork(t *testing.T) {
 	p := buildFrom(t, tbl, 1)
 	var calls atomic.Int64
 	req := fakeRequest(0, -1, &calls)
-	err := shard.Gather(shard.Runners(shard.Layout(p, 1)), req, func(shard.ClusterResult) error { return nil })
+	err := shard.Gather(shard.Runners(shard.Layout(p, 1)), req, func(*shard.ClusterResult) error { return nil })
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want errBoom", err)
 	}
@@ -210,7 +254,7 @@ func TestGatherPanicContained(t *testing.T) {
 	p := buildFrom(t, tbl, 3)
 	for _, workers := range []int{1, 4} {
 		req := fakeRequest(-1, 5, nil)
-		err := shard.Gather(shard.Runners(shard.Layout(p, workers)), req, func(shard.ClusterResult) error { return nil })
+		err := shard.Gather(shard.Runners(shard.Layout(p, workers)), req, func(*shard.ClusterResult) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "runner panic") {
 			t.Fatalf("workers=%d: err = %v, want contained runner panic", workers, err)
 		}
@@ -223,7 +267,7 @@ func TestGatherEmitError(t *testing.T) {
 	p := buildFrom(t, tbl, 4)
 	errStop := errors.New("enough")
 	emitted := 0
-	err := shard.Gather(shard.Runners(shard.Layout(p, 4)), fakeRequest(-1, -1, nil), func(shard.ClusterResult) error {
+	err := shard.Gather(shard.Runners(shard.Layout(p, 4)), fakeRequest(-1, -1, nil), func(*shard.ClusterResult) error {
 		emitted++
 		if emitted == 3 {
 			return errStop
@@ -246,7 +290,7 @@ func TestGatherConcurrentScatters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var got []int
-			err := shard.Gather(shard.Runners(shard.Layout(p, 4)), fakeRequest(-1, -1, nil), func(cr shard.ClusterResult) error {
+			err := shard.Gather(shard.Runners(shard.Layout(p, 4)), fakeRequest(-1, -1, nil), func(cr *shard.ClusterResult) error {
 				got = append(got, cr.Global)
 				return nil
 			})

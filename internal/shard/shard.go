@@ -10,13 +10,14 @@
 //     appended rows — the shards they land in are rebuilt
 //     (copy-on-invalidate: in-flight readers keep the old slabs), every
 //     other shard is carried over untouched, kernels, masks and all.
-//   - Scatter-gather execution (scatter.go): queries fan out to
-//     per-shard worker pools and stream-merge per-cluster results back
-//     in deterministic global cluster order with bounded buffering.
+//   - Scatter-gather execution (scatter.go): queries fan out to one
+//     worker per group of shards and stream-merge per-cluster results
+//     back in deterministic global cluster order with bounded
+//     buffering; a single group runs inline on the caller's goroutine.
 //
 // Global cluster order (first appearance in the row log) is preserved
-// across sharding, so a sharded execution's rows, statistics, and
-// per-cluster breakdown are bit-identical to the serial path's.
+// across sharding, so an execution's rows, statistics, and per-cluster
+// breakdown are bit-identical for every shard count and fan-out.
 package shard
 
 import (
@@ -28,8 +29,8 @@ import (
 )
 
 // Cluster is one CLUSTER BY group: its global index (first-appearance
-// order across the whole table — the order serial execution visits
-// clusters) and its sequence-sorted rows.
+// order across the whole table — the order execution emits clusters in)
+// and its sequence-sorted rows.
 type Cluster struct {
 	Global int
 	Rows   []storage.Row
@@ -419,8 +420,8 @@ func (p *Partition) ClusterAt(gi int) []storage.Row {
 }
 
 // OrderedRows materializes the clusters as one [][]Row in global order
-// — the flat shape serial execution iterates. Only the slice of headers
-// is allocated; the row slabs are shared.
+// — the shape storage.Table.ClusterVersion returns. Only the slice of
+// headers is allocated; the row slabs are shared.
 func (p *Partition) OrderedRows() [][]storage.Row {
 	out := make([][]storage.Row, len(p.refs))
 	for gi := range p.refs {

@@ -20,7 +20,7 @@ const (
 
 // TestStatementTotalsMatchResults is the differential acceptance test:
 // the statement-stats totals must agree exactly with the summed Result
-// counters across serial, parallel, kernel, interpreter, naive and
+// counters across cached, uncached, kernel, interpreter, naive and
 // overlap executions — the introspection layer observes the serving
 // path, it must not change or approximate it.
 func TestStatementTotalsMatchResults(t *testing.T) {
@@ -29,8 +29,8 @@ func TestStatementTotalsMatchResults(t *testing.T) {
 	insertSeries(t, db, "IBM", 10000, 10, 12, 9, 7, 14, 16, 12)
 
 	variants := []RunOptions{
-		{},                    // serial, kernel path
-		{Parallel: true},      // parallel clusters
+		{},                    // cached partition, kernel path
+		{NoCache: true},       // transient partition
 		{NoKernel: true},      // interpreter
 		{Executor: NaiveExec}, // naive executor (feeds the savings metric)
 		{Overlap: true},       // overlapping occurrences

@@ -23,7 +23,7 @@ func TestRuntimeSamplerNoLeak(t *testing.T) {
 
 // TestParallelErrorNoLeak: a worker failing (injected error and panic)
 // must not strand the other workers — every goroutine exits even though
-// the dispatch loop stops early.
+// the scatter stops early.
 func TestParallelErrorNoLeak(t *testing.T) {
 	defer fault.Reset()
 	defer testutil.LeakCheck(t)()
@@ -31,6 +31,7 @@ func TestParallelErrorNoLeak(t *testing.T) {
 	for s := 0; s < 16; s++ {
 		insertSeries(t, db, string(rune('A'+s)), 10000, 60, 70, 55, 56, 58, 61, 50, 66)
 	}
+	opts := fanOut(db, true)
 	q, err := db.Prepare(`
 		SELECT X.name FROM quote
 		  CLUSTER BY name SEQUENCE BY date
@@ -43,15 +44,15 @@ func TestParallelErrorNoLeak(t *testing.T) {
 		{Err: errors.New("worker failure")},
 		{Panic: "worker panic"},
 	} {
-		if err := fault.Arm("sqlts.parallel.worker", act); err != nil {
+		if err := fault.Arm("sqlts.execute.cluster", act); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := q.RunWith(RunOptions{Parallel: true}); err == nil {
+		if _, err := q.RunWith(opts); err == nil {
 			t.Fatal("injected worker failure did not surface")
 		}
 		fault.Reset()
 		// And the query still works after.
-		if _, err := q.RunWith(RunOptions{Parallel: true}); err != nil {
+		if _, err := q.RunWith(opts); err != nil {
 			t.Fatalf("run after injected failure: %v", err)
 		}
 	}

@@ -8,9 +8,10 @@ import (
 
 // TestMetricsHygiene enforces the registry's naming and registration
 // discipline: every family matches the sqlts_ naming scheme, no family
-// appears twice, and every instrument field of dbMetrics owns its own
-// family — two fields accidentally registered under one name would
-// silently share a counter.
+// appears twice, no two families count the same cache events, and every
+// instrument field of dbMetrics owns its own family — two fields
+// accidentally registered under one name would silently share a
+// counter.
 func TestMetricsHygiene(t *testing.T) {
 	db := New()
 	families := db.Metrics().Families()
@@ -28,6 +29,20 @@ func TestMetricsHygiene(t *testing.T) {
 			t.Errorf("family %q listed twice", name)
 		}
 		seen[name] = true
+	}
+
+	// The partition cache is the one cache of shard.Partitions: its
+	// hits, misses and invalidations are counted once, by the
+	// sqlts_partition_cache_* families, never by a shard-cache twin.
+	for _, gone := range []string{"sqlts_shard_cache_hits_total", "sqlts_shard_cache_misses_total"} {
+		if seen[gone] {
+			t.Errorf("family %q duplicates sqlts_partition_cache_*", gone)
+		}
+	}
+	for _, want := range []string{"sqlts_partition_cache_hits_total", "sqlts_partition_cache_misses_total", "sqlts_partition_cache_invalidations_total"} {
+		if !seen[want] {
+			t.Errorf("family %q not registered", want)
+		}
 	}
 
 	// Count dbMetrics' instrument fields by reflection: each must have

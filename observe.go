@@ -63,8 +63,6 @@ type dbMetrics struct {
 
 	shardsConfigured   *obs.Gauge
 	shardQueries       *obs.Counter
-	shardCacheHits     *obs.Counter
-	shardCacheMisses   *obs.Counter
 	shardBuilds        *obs.Counter
 	shardRefreshes     *obs.Counter
 	shardShardsRebuilt *obs.Counter
@@ -149,19 +147,15 @@ func newDBMetrics() *dbMetrics {
 		planCacheMisses: reg.Counter("sqlts_plan_cache_misses_total",
 			"Prepares that compiled a plan (cold, evicted, or catalog-stale)."),
 		partitionCacheHits: reg.Counter("sqlts_partition_cache_hits_total",
-			"Executions that reused a cached cluster partition (sort skipped)."),
+			"Executions that reused a cached partition unchanged (no build or refresh)."),
 		partitionCacheMisses: reg.Counter("sqlts_partition_cache_misses_total",
-			"Executions that built a cluster partition."),
+			"Executions that built or refreshed a partition."),
 		partitionCacheInvalidations: reg.Counter("sqlts_partition_cache_invalidations_total",
-			"Cached partitions replaced because the table version moved (inserts/loads)."),
+			"Cached partitions found stale (inserts/loads, replaced table, shard-count change) and refreshed or rebuilt."),
 		shardsConfigured: reg.Gauge("sqlts_shards_configured",
-			"Shard count set via SetShards (0 or 1 = unsharded path)."),
+			"Shard count partitions are built with (SetShards; default 1)."),
 		shardQueries: reg.Counter("sqlts_shard_queries_total",
-			"Query executions served by the shard-parallel scatter-gather path."),
-		shardCacheHits: reg.Counter("sqlts_shard_cache_hits_total",
-			"Executions that reused a cached sharded partition unchanged."),
-		shardCacheMisses: reg.Counter("sqlts_shard_cache_misses_total",
-			"Executions that built or refreshed a sharded partition."),
+			"Query executions over a partition of more than one shard."),
 		shardBuilds: reg.Counter("sqlts_shard_builds_total",
 			"Sharded partitions built from scratch (cold, replaced table, or shard-count change)."),
 		shardRefreshes: reg.Counter("sqlts_shard_refreshes_total",

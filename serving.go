@@ -6,21 +6,18 @@ package sqlts
 // θ/φ matrices, shift/next tables, predicate kernels) and the O(n log n)
 // CLUSTER BY / SEQUENCE BY sort across repeated executions:
 //
-//   - planCache: LRU keyed by whitespace-normalized SQL text, validated
+//   - plans: LRU keyed by whitespace-normalized SQL text, validated
 //     against the DB catalog version (DDL, table registration and
 //     positive-domain declarations invalidate plans; inserts do not).
-//   - partitionCache: LRU keyed by (table, clusterBy, sequenceBy),
-//     validated against storage.Table's monotonic data version. Inserts
-//     bump the version, so the next query rebuilds; in-flight queries
-//     keep reading the old immutable [][]Row (copy-on-invalidate).
+//   - parts: LRU of shard.Partition keyed by (table, clusterBy,
+//     sequenceBy), validated against storage.Table's monotonic data
+//     version (shards.go). Inserts bump the version, so the next query
+//     refreshes only the shards the new rows landed in; in-flight
+//     queries keep reading the old immutable generation.
 
 import (
 	"container/list"
 	"strings"
-	"sync"
-
-	"sqlts/internal/pattern"
-	"sqlts/internal/storage"
 )
 
 // normalizeSQL is the plan-cache (and statement-stats) key function: it
@@ -69,161 +66,79 @@ func normalizeSQL(sql string) string {
 	return b.String()
 }
 
-// planCache is an LRU of compiled plans keyed by normalized SQL.
-// Entries carry the catalog version they were compiled under; get
-// treats a version mismatch as a miss and evicts the stale entry.
-type planCache struct {
+// lru is the serving caches' recency-ordered map: compiled plans keyed
+// by normalized SQL, and table partitions keyed by (table, clusterBy,
+// sequenceBy). Validity checks (catalog version, table identity and
+// data version) belong to the callers. Callers hold db.cacheMu.
+type lru[V any] struct {
 	capacity int
-	order    *list.List // front = most recently used
+	order    *list.List // front = most recently used; values *lruEntry[V]
 	entries  map[string]*list.Element
 }
 
-type planEntry struct {
-	key  string
-	plan *Plan
+type lruEntry[V any] struct {
+	key string
+	val V
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}}
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}}
 }
 
-// get returns the cached plan for key when its catalog version still
-// matches, promoting it to most recently used. Callers hold db.cacheMu.
-func (c *planCache) get(key string, catalog uint64) *Plan {
+// get returns the value for key, promoting it to most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
 	el, ok := c.entries[key]
 	if !ok {
-		return nil
-	}
-	e := el.Value.(*planEntry)
-	if e.plan.catalogVersion != catalog {
-		c.order.Remove(el)
-		delete(c.entries, key)
-		return nil
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return e.plan
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-func (c *planCache) put(key string, p *Plan) {
+// put stores v under key as most recently used, evicting beyond the
+// capacity; with capacity ≤ 0 nothing is stored.
+func (c *lru[V]) put(key string, v V) {
 	if c.capacity <= 0 {
 		return
 	}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*planEntry).plan = p
+		el.Value.(*lruEntry[V]).val = v
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&planEntry{key: key, plan: p})
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: v})
+	c.resize(c.capacity)
+}
+
+func (c *lru[V]) remove(key string) {
+	if el, ok := c.entries[key]; ok {
+		c.order.Remove(el)
+		delete(c.entries, key)
 	}
 }
 
-func (c *planCache) purge() {
+// resize sets the capacity, dropping entries beyond it oldest-first;
+// n ≤ 0 empties the cache and disables it.
+func (c *lru[V]) resize(n int) {
+	c.capacity = n
+	for c.order.Len() > max(n, 0) {
+		c.remove(c.order.Back().Value.(*lruEntry[V]).key)
+	}
+}
+
+func (c *lru[V]) purge() {
 	c.order.Init()
 	c.entries = map[string]*list.Element{}
 }
 
-// partitionCache is an LRU of clustered partitions keyed by
-// (table, clusterBy, sequenceBy). Each entry pins the exact *Table it
-// was built from and that table's data version at build time, so a
-// replaced table (RegisterTable/LoadCSV under the same name) or any
-// Insert invalidates it. The [][]Row payload is immutable and shared
-// read-only by every execution that hits it.
-type partitionCache struct {
-	capacity int
-	order    *list.List
-	entries  map[string]*list.Element
-}
-
-type partitionEntry struct {
-	key      string
-	table    *storage.Table
-	version  uint64
-	clusters [][]storage.Row
-	rows     int // total input rows across clusters
-
-	// projs memoizes per-cluster columnar projections per kernel, built
-	// lazily on first execution of each plan over this partition. The
-	// projection is a pure function of the (immutable) cluster rows, so
-	// sharing it is observationally identical to rebuilding; it just
-	// removes the O(rows) decode from every warm run. Entries pin their
-	// kernels, but both live no longer than the partition (dropped on
-	// invalidation or eviction) and the cache is capacity-bounded.
-	mu    sync.Mutex
-	projs map[*pattern.Kernel][]*storage.Projection
-
-	// masks memoizes per-cluster selection bitmasks per kernel (PR 8):
-	// one MaskSet per cluster, built from the shared projection by the
-	// kernel's vectorized compare loops. Like the projections they are a
-	// pure function of the immutable cluster rows, so warm executions
-	// reuse them and every probe of a mask-covered element collapses to a
-	// bit test. maskAgg keeps the build-time per-condition match counts,
-	// aggregated across clusters, for the stats-fed adaptive optimizer.
-	masks   map[*pattern.Kernel][]*pattern.MaskSet
-	maskAgg map[*pattern.Kernel]*pattern.MaskStats
-}
-
-// projections returns one shared read-only projection per cluster for k,
-// building them on first use. Returns nil when k has nothing compiled
-// (the interpreter path needs no projection).
-func (e *partitionEntry) projections(k *pattern.Kernel) []*storage.Projection {
-	if k == nil || k.CompiledElems() == 0 {
-		return nil
+// values returns the cached values, most recently used first.
+func (c *lru[V]) values() []V {
+	out := make([]V, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*lruEntry[V]).val)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.projectionsLocked(k)
-}
-
-func (e *partitionEntry) projectionsLocked(k *pattern.Kernel) []*storage.Projection {
-	if ps, ok := e.projs[k]; ok {
-		return ps
-	}
-	ps := make([]*storage.Projection, len(e.clusters))
-	for i, cl := range e.clusters {
-		ps[i] = k.NewProjection()
-		ps[i].SetRows(cl)
-	}
-	if e.projs == nil {
-		e.projs = map[*pattern.Kernel][]*storage.Projection{}
-	}
-	e.projs[k] = ps
-	return ps
-}
-
-// masksFor returns one shared read-only MaskSet per cluster for k plus
-// the aggregated build-time selectivity stats, building both on first
-// use. Returns nil when the kernel has no vectorizable elements.
-func (e *partitionEntry) masksFor(k *pattern.Kernel) ([]*pattern.MaskSet, *pattern.MaskStats) {
-	if k == nil || k.VecElems() == 0 {
-		return nil, nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ms, ok := e.masks[k]; ok {
-		return ms, e.maskAgg[k]
-	}
-	ps := e.projectionsLocked(k)
-	ms := make([]*pattern.MaskSet, len(e.clusters))
-	agg := &pattern.MaskStats{}
-	for i := range e.clusters {
-		ms[i] = k.BuildMasks(ps[i], nil)
-		agg.Add(ms[i].Stats())
-	}
-	if e.masks == nil {
-		e.masks = map[*pattern.Kernel][]*pattern.MaskSet{}
-		e.maskAgg = map[*pattern.Kernel]*pattern.MaskStats{}
-	}
-	e.masks[k] = ms
-	e.maskAgg[k] = agg
-	return ms, agg
-}
-
-func newPartitionCache(capacity int) *partitionCache {
-	return &partitionCache{capacity: capacity, order: list.New(), entries: map[string]*list.Element{}}
+	return out
 }
 
 // partitionKey identifies one clustering of one table. Column names are
@@ -242,49 +157,6 @@ func partitionKey(table string, clusterBy, sequenceBy []string) string {
 		b.WriteString(strings.ToLower(s))
 	}
 	return b.String()
-}
-
-// get returns the cached partition when it was built from this exact
-// table at its current version. Callers hold db.cacheMu.
-func (c *partitionCache) get(key string, t *storage.Table) *partitionEntry {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	e := el.Value.(*partitionEntry)
-	if e.table != t || e.version != t.Version() {
-		return nil // stale; left in place so put can count the invalidation
-	}
-	c.order.MoveToFront(el)
-	return e
-}
-
-// put stores a freshly built partition and reports whether it replaced
-// a stale entry for the same key (an invalidation rather than a cold
-// miss).
-func (c *partitionCache) put(e *partitionEntry) (invalidated bool) {
-	if c.capacity <= 0 {
-		return false
-	}
-	if el, ok := c.entries[e.key]; ok {
-		old := el.Value.(*partitionEntry)
-		invalidated = old.table != e.table || old.version != e.version
-		el.Value = e
-		c.order.MoveToFront(el)
-		return invalidated
-	}
-	c.entries[e.key] = c.order.PushFront(e)
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*partitionEntry).key)
-	}
-	return false
-}
-
-func (c *partitionCache) purge() {
-	c.order.Init()
-	c.entries = map[string]*list.Element{}
 }
 
 // Default cache capacities; tune with SetPlanCacheCapacity and
@@ -335,35 +207,16 @@ func (db *DB) CacheStats() CacheStats {
 func (db *DB) SetPlanCacheCapacity(n int) {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
-	db.plans.capacity = n
-	if n <= 0 {
-		db.plans.purge()
-		return
-	}
-	for db.plans.order.Len() > n {
-		oldest := db.plans.order.Back()
-		db.plans.order.Remove(oldest)
-		delete(db.plans.entries, oldest.Value.(*planEntry).key)
-	}
+	db.plans.resize(n)
 }
 
-// SetPartitionCacheCapacity resizes the partition cache (and the
-// sharded-partition cache, which shares the capacity); 0 disables
-// partition caching entirely.
+// SetPartitionCacheCapacity resizes the partition cache (entries beyond
+// the new capacity are dropped oldest-first); 0 disables partition
+// caching entirely.
 func (db *DB) SetPartitionCacheCapacity(n int) {
 	db.cacheMu.Lock()
 	defer db.cacheMu.Unlock()
-	db.parts.capacity = n
-	db.shardParts.resize(n)
-	if n <= 0 {
-		db.parts.purge()
-		return
-	}
-	for db.parts.order.Len() > n {
-		oldest := db.parts.order.Back()
-		db.parts.order.Remove(oldest)
-		delete(db.parts.entries, oldest.Value.(*partitionEntry).key)
-	}
+	db.parts.resize(n)
 }
 
 // PurgeCaches empties both serving caches (capacities are kept). Useful
@@ -374,15 +227,18 @@ func (db *DB) PurgeCaches() {
 	defer db.cacheMu.Unlock()
 	db.plans.purge()
 	db.parts.purge()
-	db.shardParts.purge()
 }
 
 // lookupPlan consults the plan cache. A hit returns a Plan that is
-// still valid under the current catalog version.
+// still valid under the current catalog version; a stale one is evicted.
 func (db *DB) lookupPlan(key string) *Plan {
 	catalog := db.catalog.Load()
 	db.cacheMu.Lock()
-	p := db.plans.get(key, catalog)
+	p, ok := db.plans.get(key)
+	if ok && p.catalogVersion != catalog {
+		db.plans.remove(key)
+		p = nil
+	}
 	db.cacheMu.Unlock()
 	if p != nil {
 		db.metrics.planCacheHits.Inc()
@@ -396,49 +252,4 @@ func (db *DB) storePlan(key string, p *Plan) {
 	db.cacheMu.Lock()
 	db.plans.put(key, p)
 	db.cacheMu.Unlock()
-}
-
-// partition returns the clustered partition of t for the plan's
-// clusterBy/sequenceBy, serving it from the cache when the table
-// version still matches. The entry's clusters (and any projections built
-// from them) are shared and must be treated as read-only. cached reports
-// whether the partition came from the cache. A bypass run builds a
-// transient entry that is never stored, so it shares nothing.
-func (db *DB) partition(t *storage.Table, clusterBy, sequenceBy []string, bypass bool) (part *partitionEntry, cached bool, err error) {
-	if bypass {
-		cl, version, err := t.ClusterVersion(clusterBy, sequenceBy)
-		if err != nil {
-			return nil, false, err
-		}
-		return &partitionEntry{table: t, version: version, clusters: cl, rows: countRows(cl)}, false, nil
-	}
-	key := partitionKey(t.Name, clusterBy, sequenceBy)
-	db.cacheMu.Lock()
-	e := db.parts.get(key, t)
-	db.cacheMu.Unlock()
-	if e != nil {
-		db.metrics.partitionCacheHits.Inc()
-		return e, true, nil
-	}
-	cl, version, err := t.ClusterVersion(clusterBy, sequenceBy)
-	if err != nil {
-		return nil, false, err
-	}
-	db.metrics.partitionCacheMisses.Inc()
-	e = &partitionEntry{key: key, table: t, version: version, clusters: cl, rows: countRows(cl)}
-	db.cacheMu.Lock()
-	invalidated := db.parts.put(e)
-	db.cacheMu.Unlock()
-	if invalidated {
-		db.metrics.partitionCacheInvalidations.Inc()
-	}
-	return e, false, nil
-}
-
-func countRows(clusters [][]storage.Row) int {
-	n := 0
-	for _, c := range clusters {
-		n += len(c)
-	}
-	return n
 }

@@ -1,13 +1,14 @@
 package sqlts_test
 
-// Tests for the shard-parallel scatter-gather path (PR 9): results must
-// be bit-identical to the serial path across executors and options,
-// including the paper's pred-evals metric; an insert must invalidate
-// only the shard it lands in; and the path must stay correct under
-// concurrent readers and an inserter.
+// Tests for the one execution path, shard.Partition + shard.Gather:
+// results must be bit-identical to a shard-free reference across shard
+// counts, executors and options, including the paper's pred-evals
+// metric; an insert must invalidate only the shard it lands in; and the
+// path must stay correct under concurrent readers and an inserter.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"reflect"
@@ -15,14 +16,19 @@ import (
 	"testing"
 
 	"sqlts"
+	"sqlts/internal/core"
+	"sqlts/internal/engine"
+	"sqlts/internal/fault"
+	"sqlts/internal/query"
 	"sqlts/internal/storage"
+	"sqlts/internal/testutil"
 	"sqlts/internal/workload"
 	"sqlts/ta"
 )
 
 // shardQuoteDB builds a quote DB with n geometric-walk symbols (every
 // fifth one carrying a planted double bottom) and returns it with the
-// shared table, so a second DB can serve the identical data unsharded.
+// shared table, so a second DB can serve the identical data.
 func shardQuoteDB(t testing.TB, n int) (*sqlts.DB, *storage.Table) {
 	t.Helper()
 	tbl := workload.ClusterWalks("quote", 11, n, 30, 5)
@@ -34,7 +40,7 @@ func shardQuoteDB(t testing.TB, n int) (*sqlts.DB, *storage.Table) {
 	return db, tbl
 }
 
-// referenceDB registers the same table in a fresh unsharded DB.
+// referenceDB registers the same table in a fresh single-shard DB.
 func referenceDB(t testing.TB, tbl *storage.Table) *sqlts.DB {
 	t.Helper()
 	db := sqlts.New()
@@ -87,85 +93,248 @@ func sameResult(t testing.TB, label string, want, got *sqlts.Result) {
 	}
 }
 
-// TestShardedMatchesSerial: the sharded path must be bit-identical to
-// serial and parallel execution — rows in the same order, identical
-// Stats, identical per-cluster breakdown — across shard counts.
+// reference is the result of running sql over tbl without
+// internal/shard: Table.ClusterVersion clusters, one
+// engine.NewNaive/NewOPS executor on the condition interpreter searches
+// them in order, and the analyzed select projects each match.
+type reference struct {
+	rows     []storage.Row
+	stats    engine.Stats
+	clusters []sqlts.ClusterStat
+	matches  []sqlts.ClusterMatches
+	path     []engine.PathPoint
+}
+
+func referenceRun(t testing.TB, tbl *storage.Table, sql string, naive, overlap bool) *reference {
+	t.Helper()
+	st, err := query.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := query.Analyze(st.(*query.SelectStmt), tbl.Schema, query.AnalyzeOptions{PositiveColumns: []string{"price"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := engine.SkipPastLastRow
+	if overlap {
+		policy = engine.SkipToNextRow
+	}
+	var ex engine.Executor
+	var path func() []engine.PathPoint
+	if naive {
+		n := engine.NewNaive(c.Pattern, policy)
+		n.Trace()
+		ex, path = n, n.Path
+	} else {
+		o := engine.NewOPS(c.Pattern, core.TablesFrom(c.Pattern, core.ComputeMatrices(c.Pattern)), engine.OPSConfig{Policy: policy})
+		o.Trace()
+		ex, path = o, o.Path
+	}
+	clusters, _, err := tbl.ClusterVersion(c.ClusterBy, c.SequenceBy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &reference{}
+	for ci, seq := range clusters {
+		ms, stats := ex.FindAll(seq)
+		ref.stats.Add(stats)
+		ref.clusters = append(ref.clusters, sqlts.ClusterStat{Cluster: ci, Rows: len(seq), Stats: stats})
+		if len(ms) > 0 {
+			ref.matches = append(ref.matches, sqlts.ClusterMatches{Cluster: ci, Matches: ms})
+		}
+		for _, m := range ms {
+			row, err := c.EvalSelect(seq, m.Spans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.rows = append(ref.rows, row)
+		}
+		ref.path = append(ref.path, path()...)
+	}
+	return ref
+}
+
+// sameAsReference asserts a result reproduces the reference bit for
+// bit.
+func sameAsReference(t testing.TB, want *reference, got *sqlts.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(want.rows, got.Rows) {
+		t.Fatalf("rows differ (%d vs %d)", len(want.rows), len(got.Rows))
+	}
+	if want.stats != got.Stats {
+		t.Fatalf("stats differ: %+v vs %+v", want.stats, got.Stats)
+	}
+	if !reflect.DeepEqual(want.matches, got.Matches) {
+		t.Fatal("cluster matches differ")
+	}
+	if !reflect.DeepEqual(want.clusters, got.ClusterStats()) {
+		t.Fatal("per-cluster stats differ")
+	}
+}
+
+// geometricQuotes is a quote table of n geometric-walk symbols of rows
+// days each.
+func geometricQuotes(n, rows int) *storage.Table {
+	series := map[string][]float64{}
+	for s := 0; s < n; s++ {
+		series[fmt.Sprintf("S%02d", s)] = workload.GeometricWalk(workload.WalkConfig{
+			Seed: int64(s + 1), N: rows, Start: 50 + float64(s), Drift: 0, Vol: 0.02,
+		})
+	}
+	return workload.QuoteTable("quote", 10000, series)
+}
+
+// TestShardedMatchesSerial is the differential suite of the one
+// execution path: every shard count crossed with every run option —
+// cached and uncached partitions, traced runs, inline and concurrent
+// fan-out, kernel, interpreter and row-at-a-time probing, overlap and
+// the naive executor — must reproduce the shard-free reference bit for
+// bit: rows in order, Stats, the per-cluster breakdown, matches, and
+// the Trace search path.
 func TestShardedMatchesSerial(t *testing.T) {
-	db, tbl := shardQuoteDB(t, 60)
-	serial := mustRun(t, db, shardTestSQL, sqlts.RunOptions{})
-	if len(serial.Rows) == 0 {
-		t.Fatal("workload produced no matches; adjust parameters")
-	}
-	parallel := mustRun(t, db, shardTestSQL, sqlts.RunOptions{Parallel: true})
-	sameResult(t, "parallel", serial, parallel)
-
-	for _, nshards := range []int{2, 3, 8, 64} {
-		sdb := referenceDB(t, tbl)
-		sdb.SetShards(nshards)
-		sharded := mustRun(t, sdb, shardTestSQL, sqlts.RunOptions{})
-		sameResult(t, fmt.Sprintf("sharded(%d)", nshards), serial, sharded)
-		if sharded.Shards() != nshards {
-			t.Fatalf("res.Shards() = %d, want %d", sharded.Shards(), nshards)
-		}
-		// Warm repeat: cached shard partition, same bits.
-		warm := mustRun(t, sdb, shardTestSQL, sqlts.RunOptions{})
-		sameResult(t, fmt.Sprintf("sharded(%d) warm", nshards), serial, warm)
-		if !warm.PartitionCached() {
-			t.Fatalf("nshards=%d: warm run missed the shard cache", nshards)
-		}
-	}
-}
-
-// TestShardedOptionVariants crosses the sharded path with the execution
-// options that change how clusters are searched — each variant must
-// match its own unsharded counterpart exactly.
-func TestShardedOptionVariants(t *testing.T) {
-	db, tbl := shardQuoteDB(t, 40)
-	sdb := referenceDB(t, tbl)
-	sdb.SetShards(4)
-	for _, tc := range []struct {
+	variants := []struct {
 		name string
 		opts sqlts.RunOptions
 	}{
-		{"novectorize", sqlts.RunOptions{NoVectorize: true}},
-		{"nokernel", sqlts.RunOptions{NoKernel: true}},
-		{"overlap", sqlts.RunOptions{Overlap: true}},
-		{"naive", sqlts.RunOptions{Executor: sqlts.NaiveExec}},
-		{"maxworkers1", sqlts.RunOptions{MaxWorkers: 1}},
-		{"maxworkers3", sqlts.RunOptions{MaxWorkers: 3}},
-	} {
-		want := mustRun(t, db, shardTestSQL, tc.opts)
-		got := mustRun(t, sdb, shardTestSQL, tc.opts)
-		sameResult(t, tc.name, want, got)
-	}
-}
-
-// TestShardedBypasses: NoCache and Trace runs must stay on the flat
-// path (the first bypasses caching, the second needs the serial path
-// buffer) and still produce identical results.
-func TestShardedBypasses(t *testing.T) {
-	db, tbl := shardQuoteDB(t, 20)
-	sdb := referenceDB(t, tbl)
-	sdb.SetShards(4)
-	want := mustRun(t, db, shardTestSQL, sqlts.RunOptions{})
-	for _, tc := range []struct {
-		name string
-		opts sqlts.RunOptions
-	}{
+		{"default", sqlts.RunOptions{}},
 		{"nocache", sqlts.RunOptions{NoCache: true}},
 		{"trace", sqlts.RunOptions{Trace: true}},
+		{"maxworkers1", sqlts.RunOptions{MaxWorkers: 1}},
+		{"maxworkers3", sqlts.RunOptions{MaxWorkers: 3}},
+		{"nokernel", sqlts.RunOptions{NoKernel: true}},
+		{"novectorize", sqlts.RunOptions{NoVectorize: true}},
+		{"overlap", sqlts.RunOptions{Overlap: true}},
+		{"naive", sqlts.RunOptions{Executor: sqlts.NaiveExec}},
+		{"naive-trace", sqlts.RunOptions{Executor: sqlts.NaiveExec, Trace: true}},
+	}
+	for _, ds := range []struct {
+		name string
+		tbl  *storage.Table
+	}{
+		{"walks", workload.ClusterWalks("quote", 11, 60, 30, 5)},
+		{"geometric", geometricQuotes(40, 300)},
 	} {
-		got := mustRun(t, sdb, shardTestSQL, tc.opts)
-		if got.Shards() != 0 {
-			t.Fatalf("%s: res.Shards() = %d, want 0 (flat path)", tc.name, got.Shards())
+		refs := map[[2]bool]*reference{}
+		for _, nshards := range []int{1, 2, 4, 8} {
+			db := referenceDB(t, ds.tbl)
+			db.SetShards(nshards)
+			for _, v := range variants {
+				t.Run(fmt.Sprintf("%s/shards=%d/%s", ds.name, nshards, v.name), func(t *testing.T) {
+					key := [2]bool{v.opts.Executor == sqlts.NaiveExec, v.opts.Overlap}
+					if refs[key] == nil {
+						refs[key] = referenceRun(t, ds.tbl, shardTestSQL, key[0], key[1])
+						if len(refs[key].rows) == 0 {
+							t.Fatal("workload produced no matches; adjust parameters")
+						}
+					}
+					q, err := db.Prepare(shardTestSQL)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := q.RunWith(v.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAsReference(t, refs[key], res)
+					if v.opts.Trace && !reflect.DeepEqual(refs[key].path, q.LastPath()) {
+						t.Fatalf("search path differs (%d vs %d points)", len(refs[key].path), len(q.LastPath()))
+					}
+					if res.Shards() != nshards {
+						t.Fatalf("res.Shards() = %d, want %d", res.Shards(), nshards)
+					}
+					if v.opts.NoCache && res.PartitionCached() {
+						t.Fatal("NoCache run reported a cached partition")
+					}
+				})
+			}
+			// Every cached variant above after the first served the
+			// partition warm; one more default run must too.
+			if res := mustRun(t, db, shardTestSQL, sqlts.RunOptions{}); !res.PartitionCached() {
+				t.Fatalf("%s/shards=%d: warm run missed the partition cache", ds.name, nshards)
+			}
 		}
-		sameResult(t, tc.name, want, got)
+	}
+}
+
+// TestSingleShardInsertRefresh: at the default single shard, an insert
+// into one cluster refreshes the cached partition once — one miss, one
+// invalidation, the shard's version bumped rather than a fresh build —
+// and the refreshed result equals the shard-free reference.
+func TestSingleShardInsertRefresh(t *testing.T) {
+	db, tbl := shardQuoteDB(t, 40)
+	if _, err := db.Query(shardTestSQL); err != nil {
+		t.Fatal(err)
+	}
+	before := db.CacheStats()
+	tbl.MustInsert(storage.NewString("s05"), storage.NewDateDays(10_000), storage.NewFloat(101))
+	res, err := db.Query(shardTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := db.CacheStats()
+	if res.PartitionCached() {
+		t.Fatal("post-insert run reported a partition cache hit")
+	}
+	if d := after.PartitionMisses - before.PartitionMisses; d != 1 {
+		t.Fatalf("%d partition misses after one insert, want 1", d)
+	}
+	if d := after.PartitionInvalidations - before.PartitionInvalidations; d != 1 {
+		t.Fatalf("%d partition invalidations after one insert, want 1", d)
+	}
+	infos := db.ShardInfo()
+	if len(infos) != 1 || infos[0].Shards != 1 || infos[0].PerShard[0].Version != 2 {
+		t.Fatalf("ShardInfo = %+v, want one single-shard partition refreshed once", infos)
+	}
+	sameAsReference(t, referenceRun(t, tbl, shardTestSQL, false, false), res)
+}
+
+// TestInlineFailuresContained: on the inline single-worker path a
+// panicking predicate still returns a *PanicError and an operator kill
+// still returns ErrKilled, and neither leaves a goroutine behind.
+func TestInlineFailuresContained(t *testing.T) {
+	defer fault.Reset()
+	defer testutil.LeakCheck(t)()
+	// Clusters long enough to cross engine.eval's 1024-eval checkpoint.
+	db := referenceDB(t, workload.ClusterWalks("quote", 11, 6, 3000, 5))
+	q, err := db.Prepare(shardTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := fault.Arm("engine.eval", fault.Action{Panic: "predicate panic"}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.Run()
+	var pe *sqlts.PanicError
+	if res != nil || !errors.As(err, &pe) {
+		t.Fatalf("panicking predicate: res=%v err=%v; want nil, *PanicError", res, err)
+	}
+	fault.Reset()
+
+	// Kill the run from inside its own third cluster boundary.
+	if err := fault.Arm("sqlts.execute.cluster", fault.Action{After: 2, Times: 1, Fn: func() error {
+		for _, f := range db.ActiveQueries() {
+			if err := db.KillQuery(f.ID, "test"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = q.Run()
+	if res != nil || !errors.Is(err, sqlts.ErrKilled) {
+		t.Fatalf("killed run: res=%v err=%v; want nil, ErrKilled", res, err)
+	}
+	fault.Reset()
+	if _, err := q.Run(); err != nil {
+		t.Fatalf("run after the kill: %v", err)
 	}
 }
 
 // TestShardedPredEvalsPin pins the paper's cost metric on the §7
 // double-bottom corpus: the sharded path must report exactly the
-// serial path's 11,972 predicate evaluations.
+// single-shard path's 11,972 predicate evaluations.
 func TestShardedPredEvalsPin(t *testing.T) {
 	const pinnedPredEvals = 11972
 	prices := workload.DJIA25Years(1)
@@ -258,7 +427,7 @@ func TestShardedInsertInvalidatesOneShard(t *testing.T) {
 // TestShardedStress: eight readers hammer the sharded path while an
 // inserter appends rows into existing and new clusters. No read may
 // fail; every read must be internally consistent; and once the inserter
-// quiesces, the sharded result must be bit-identical to an unsharded
+// quiesces, the sharded result must be bit-identical to a single-shard
 // reference DB serving the same table.
 func TestShardedStress(t *testing.T) {
 	db, tbl := shardQuoteDB(t, 32)
@@ -345,8 +514,8 @@ func TestDebugShardsSurface(t *testing.T) {
 	}
 }
 
-// TestSetShardsOffDropsCache: disabling sharding purges the shard
-// partitions and routes back to the flat path.
+// TestSetShardsOffDropsCache: SetShards(0) falls back to the default
+// single shard, and any shard-count change drops the cached partitions.
 func TestSetShardsOffDropsCache(t *testing.T) {
 	db, _ := shardQuoteDB(t, 10)
 	db.SetShards(4)
@@ -354,17 +523,20 @@ func TestSetShardsOffDropsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(db.ShardInfo()) != 1 {
-		t.Fatal("no cached shard partition after a sharded query")
+		t.Fatal("no cached partition after a sharded query")
 	}
 	db.SetShards(0)
 	if got := len(db.ShardInfo()); got != 0 {
-		t.Fatalf("%d shard partitions cached after SetShards(0)", got)
+		t.Fatalf("%d partitions cached after SetShards(0)", got)
+	}
+	if db.Shards() != 1 {
+		t.Fatalf("Shards() = %d after SetShards(0), want 1", db.Shards())
 	}
 	res, err := db.Query(shardTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards() != 0 {
-		t.Fatalf("res.Shards() = %d after SetShards(0)", res.Shards())
+	if res.Shards() != 1 {
+		t.Fatalf("res.Shards() = %d after SetShards(0), want 1", res.Shards())
 	}
 }

@@ -46,16 +46,14 @@ import (
 	"sqlts/internal/obs"
 	"sqlts/internal/pattern"
 	"sqlts/internal/query"
+	"sqlts/internal/shard"
 	"sqlts/internal/storage"
 )
 
-// Fault-injection sites on the serving path (see internal/fault and the
-// engine.* sites): the serial per-cluster boundary and the parallel
-// worker body.
-var (
-	faultExecCluster = fault.New("sqlts.execute.cluster")
-	faultWorker      = fault.New("sqlts.parallel.worker")
-)
+// faultExecCluster is the serving path's fault-injection site (see
+// internal/fault and the engine.* sites): it fires once per cluster,
+// before the cluster's search.
+var faultExecCluster = fault.New("sqlts.execute.cluster")
 
 // DB is an in-memory sequence database: a set of named tables plus
 // per-table metadata (positive-domain column declarations) and the
@@ -73,15 +71,13 @@ type DB struct {
 	// per-table data versions instead (see storage.Table.Version).
 	catalog atomic.Uint64
 
+	// The serving caches (serving.go, shards.go): compiled plans and
+	// sharded table partitions. nshards is the shard count partitions
+	// are built with (SetShards; 1 by default).
 	cacheMu sync.Mutex
-	plans   *planCache
-	parts   *partitionCache
-
-	// shardParts caches sharded table partitions (shards.go); nshards is
-	// the SetShards knob routing pattern queries through the
-	// scatter-gather path when ≥ 2.
-	shardParts *shardCache
-	nshards    atomic.Int64
+	plans   *lru[*Plan]
+	parts   *lru[*cachedPartition]
+	nshards atomic.Int64
 
 	metrics *dbMetrics
 
@@ -115,16 +111,16 @@ type DB struct {
 // New creates an empty database.
 func New() *DB {
 	db := &DB{
-		tables:     map[string]*storage.Table{},
-		positive:   map[string][]string{},
-		plans:      newPlanCache(defaultPlanCacheCapacity),
-		parts:      newPartitionCache(defaultPartitionCacheCapacity),
-		shardParts: newShardCache(defaultPartitionCacheCapacity),
-		metrics:    newDBMetrics(),
-		stmts:      obs.NewStmtStore(defaultStatementCapacity),
-		slow:       newSlowLog(defaultSlowLogCapacity),
-		traces:     newTraceStore(defaultTraceCapacity),
+		tables:   map[string]*storage.Table{},
+		positive: map[string][]string{},
+		plans:    newLRU[*Plan](defaultPlanCacheCapacity),
+		parts:    newLRU[*cachedPartition](defaultPartitionCacheCapacity),
+		metrics:  newDBMetrics(),
+		stmts:    obs.NewStmtStore(defaultStatementCapacity),
+		slow:     newSlowLog(defaultSlowLogCapacity),
+		traces:   newTraceStore(defaultTraceCapacity),
 	}
+	db.SetShards(1)
 	db.flight.flights = obs.NewFlightRegistry()
 	db.flight.ring.Store(obs.NewEventRing(defaultEventRingCapacity))
 	db.flight.sample.Store(1)
@@ -334,17 +330,14 @@ type RunOptions struct {
 	// instead of the paper's default left-maximal semantics.
 	Overlap bool
 	// Trace records the (i, j) search path (Figure 5); retrieve it with
-	// Query.LastPath. Trace forces serial execution and is the one run
-	// mode that is not safe to use from multiple goroutines on a shared
-	// Query (the path buffer is per-Query).
+	// Query.LastPath. Trace runs one worker and is the one run mode that
+	// is not safe to use from multiple goroutines on a shared Query (the
+	// path buffer is per-Query).
 	Trace bool
-	// Parallel searches clusters concurrently (one goroutine per cluster,
-	// bounded by MaxWorkers). Results are identical to serial execution,
-	// including row order.
-	Parallel bool
-	// MaxWorkers bounds the fan-out of Parallel runs and of the
-	// shard-parallel path (SetShards): at most this many concurrent
-	// cluster searches. 0 keeps the default, GOMAXPROCS.
+	// MaxWorkers bounds the fan-out: a run searches with min(MaxWorkers,
+	// non-empty shards) workers (see DB.SetShards). 0 keeps the default,
+	// GOMAXPROCS. Results are identical for every fan-out, including row
+	// order.
 	MaxWorkers int
 	// NoKernel disables the compiled columnar predicate kernels and
 	// evaluates every probe through the condition interpreter — for
@@ -356,8 +349,8 @@ type RunOptions struct {
 	// also set) — for experiments and differential testing; results and
 	// statistics are identical either way.
 	NoVectorize bool
-	// NoCache bypasses the partition cache for this run: the cluster
-	// sort always re-runs and the result is not stored. (Plan caching
+	// NoCache bypasses the partition cache for this run: the partition
+	// is built from scratch and not stored. (Plan caching
 	// happens at Prepare time; disable it with SetPlanCacheCapacity(0).)
 	// For cold-vs-warm measurement and differential tests; results are
 	// identical either way.
@@ -400,8 +393,8 @@ type Result struct {
 	maskStats       *pattern.MaskStats
 }
 
-// Shards reports the shard count the execution scattered across (0 when
-// it ran the unsharded path).
+// Shards reports the shard count of the partition the execution ran
+// over (0 for a query without a pattern).
 func (r *Result) Shards() int { return r.shardCount }
 
 // Vectorized reports whether the execution probed through selection
@@ -436,8 +429,8 @@ type ClusterStat struct {
 }
 
 // ClusterStats returns the per-cluster execution breakdown, in cluster
-// order. It is populated by both the serial and the parallel execution
-// paths; summing the entries' Stats reproduces Result.Stats.
+// order, whatever the shard count and fan-out; summing the entries'
+// Stats reproduces Result.Stats.
 func (r *Result) ClusterStats() []ClusterStat { return r.clusterStats }
 
 // explainMode selects what Run produces for EXPLAIN statements.
@@ -925,97 +918,106 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 		return res, len(rows), nil
 	}
 
-	// The shard-parallel path (shards.go) owns its own cache with
-	// incremental per-shard refresh; NoCache and Trace runs stay on the
-	// flat path (the first bypasses caching entirely, the second needs
-	// the serial executor's path buffer).
-	if n := int(q.db.nshards.Load()); n > 1 && !opts.NoCache && !opts.Trace {
-		return q.runSharded(rc, res, t, opts, n)
-	}
-	part, cached, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
+	sp, cached, err := q.db.partition(t, compiled.ClusterBy, compiled.SequenceBy, opts.NoCache)
 	if err != nil {
 		return nil, 0, err
 	}
-	clusters, scanned := part.clusters, part.rows
+	scanned = sp.Rows()
 	if err := rc.checkScanned(scanned); err != nil {
 		return nil, 0, err
 	}
-	rc.flightRef().SetClustersTotal(int64(len(clusters)))
 	res.partitionCached = cached
-	// Reuse the partition's memoized columnar projections (built on the
-	// first execution of this plan over it): warm runs skip the per-run
-	// O(rows) decode along with the sort.
-	var projs []*storage.Projection
-	if !opts.NoKernel {
-		projs = part.projections(q.plan.kernel)
+	res.shardCount = sp.NumShards()
+	fl := rc.flightRef()
+	fl.SetClustersTotal(int64(sp.NumClusters()))
+	perShard := fl != nil && sp.NumShards() > 1
+	if perShard {
+		specs := make([]obs.ShardSpec, 0, sp.NumShards())
+		for _, s := range sp.Shards() {
+			specs = append(specs, obs.ShardSpec{ID: s.ID(), Clusters: s.NumClusters(), Rows: s.RowCount()})
+		}
+		fl.SetShards(specs)
 	}
-	// Likewise the memoized selection bitmasks (PR 8): warm vectorized
-	// runs answer probes with bit tests against masks built once per
-	// (partition, kernel). Mask-build selectivity stats ride along for
-	// the adaptive optimizer.
-	var masks []*pattern.MaskSet
-	if projs != nil && !opts.NoVectorize {
-		masks, res.maskStats = part.masksFor(q.plan.kernel)
-		res.vectorized = masks != nil
+	kern := q.plan.kernel
+	if opts.NoKernel {
+		kern = nil
+	}
+	// Build (or fetch) the shards' memoized projections and masks on this
+	// goroutine, inside the recover boundary, before any worker starts;
+	// the mask-build selectivity stats ride along for the adaptive
+	// optimizer (plain sums, so shard order gives the cluster-order
+	// totals). One contributing shard lends its own read-only aggregate.
+	if kern != nil && kern.CompiledElems() > 0 {
+		var sum *pattern.MaskStats
+		for _, s := range sp.Shards() {
+			s.Projections(kern)
+			if opts.NoVectorize {
+				continue
+			}
+			_, st := s.Masks(kern)
+			switch {
+			case st == nil:
+			case res.maskStats == nil:
+				res.maskStats = st
+			case sum == nil:
+				sum = &pattern.MaskStats{}
+				sum.Add(res.maskStats)
+				sum.Add(st)
+				res.maskStats = sum
+			default:
+				sum.Add(st)
+			}
+		}
+		res.vectorized = res.maskStats != nil
 	}
 	policy := engine.SkipPastLastRow
 	if opts.Overlap {
 		policy = engine.SkipToNextRow
 	}
+	workers := effectiveWorkers(opts)
 	if opts.Trace {
+		workers = 1
 		q.pathMu.Lock()
 		q.lastPath = nil
 		q.pathMu.Unlock()
 	}
-	if opts.Parallel && !opts.Trace && len(clusters) > 1 {
-		out, err := q.runParallel(rc, res, clusters, projs, masks, opts, policy)
-		return out, scanned, err
+	req := &shard.Request{
+		Kernel:        kern,
+		NoProjections: opts.NoKernel,
+		NoMasks:       opts.NoVectorize,
+		NewSearcher: func(vectorized bool) shard.Searcher {
+			ex := q.newExecutor(opts, policy)
+			if rc != nil {
+				ex.SetInterrupt(rc.interrupt())
+			}
+			if vectorized {
+				ex.SetVectorized(true)
+			}
+			return &clusterSearcher{q: q, rc: rc, ex: ex, trace: opts.Trace}
+		},
 	}
-	ex := q.newExecutor(opts, policy)
-	if rc != nil {
-		ex.SetInterrupt(rc.interrupt())
+	if n := sp.NumClusters(); n > 0 {
+		res.clusterStats = make([]ClusterStat, 0, n)
 	}
-	if masks != nil {
-		ex.SetVectorized(true)
-	}
-	fl := rc.flightRef()
-	for ci, seq := range clusters {
-		if err := faultExecCluster.Fire(); err != nil {
-			return nil, 0, err
-		}
-		if err := rc.check(); err != nil {
-			return nil, 0, err
-		}
-		if projs != nil {
-			ex.UseProjection(projs[ci])
-		}
-		if masks != nil {
-			ex.UseMasks(masks[ci])
-		}
-		ms, stats := ex.FindAll(seq)
-		res.Stats.Add(stats)
-		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: ci, Rows: len(seq), Stats: stats})
+	err = shard.Gather(shard.Runners(shard.Layout(sp, workers)), req, func(cr *shard.ClusterResult) error {
 		if fl != nil {
 			fl.TickClusters(1)
-			fl.TickRows(int64(len(seq)))
-			fl.TickMatches(int64(stats.Matches))
-		}
-		if opts.Trace {
-			q.pathMu.Lock()
-			q.lastPath = append(q.lastPath, pathOf(ex)...)
-			q.pathMu.Unlock()
-		}
-		if len(ms) > 0 {
-			res.Matches = append(res.Matches, ClusterMatches{Cluster: ci, Matches: ms})
-		}
-		for _, m := range ms {
-			row, err := compiled.EvalSelect(seq, m.Spans)
-			if err != nil {
-				return nil, 0, err
+			fl.TickRows(int64(len(cr.Rows)))
+			fl.TickMatches(int64(cr.Stats.Matches))
+			if perShard {
+				fl.ShardDone(cr.Shard)
 			}
-			res.Rows = append(res.Rows, row)
 		}
-		rc.addMatches(stats.Matches)
+		res.Stats.Add(cr.Stats)
+		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: cr.Global, Rows: len(cr.Rows), Stats: cr.Stats})
+		if len(cr.Matches) > 0 {
+			res.Matches = append(res.Matches, ClusterMatches{Cluster: cr.Global, Matches: cr.Matches})
+		}
+		res.Rows = append(res.Rows, cr.Out...)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	if err := rc.check(); err != nil {
 		return nil, 0, err
@@ -1023,124 +1025,7 @@ func (q *Query) execute(rc *runControl, opts RunOptions) (res *Result, scanned i
 	return res, scanned, nil
 }
 
-// runParallel searches clusters concurrently. Each worker gets its own
-// executor (executors carry per-search state); per-cluster results are
-// stitched back in cluster order so output is identical to serial runs.
-// Every worker is its own containment boundary: a panic or interrupt in
-// one cluster's search is captured into that cluster's slot, the shared
-// early-stop flag flips, and the remaining workers drain the dispatch
-// channel without starting new clusters — all goroutines always exit.
-func (q *Query) runParallel(rc *runControl, res *Result, clusters [][]storage.Row, projs []*storage.Projection, masks []*pattern.MaskSet, opts RunOptions, policy engine.SkipPolicy) (*Result, error) {
-	type clusterOut struct {
-		matches []engine.Match
-		rows    []storage.Row
-		stats   engine.Stats
-		err     error
-	}
-	compiled := q.plan.compiled
-	outs := make([]clusterOut, len(clusters))
-	workers := effectiveWorkers(opts)
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	// searchCluster runs one cluster inside its own recover boundary so a
-	// panicking predicate (or injected fault) poisons only its slot.
-	searchCluster := func(ex engine.Executor, ci int) (out clusterOut) {
-		defer func() {
-			if r := recover(); r != nil {
-				if in, ok := r.(engine.Interrupt); ok {
-					out.err = in.Err
-				} else {
-					out.err = &PanicError{Statement: q.plan.key, Value: r, Stack: debug.Stack()}
-				}
-			}
-		}()
-		if err := faultWorker.Fire(); err != nil {
-			out.err = err
-			return out
-		}
-		if err := rc.check(); err != nil {
-			out.err = err
-			return out
-		}
-		seq := clusters[ci]
-		if projs != nil {
-			ex.UseProjection(projs[ci])
-		}
-		if masks != nil {
-			ex.UseMasks(masks[ci])
-		}
-		ms, stats := ex.FindAll(seq)
-		out.matches, out.stats = ms, stats
-		for _, m := range ms {
-			row, err := compiled.EvalSelect(seq, m.Spans)
-			if err != nil {
-				out.err = err
-				return out
-			}
-			out.rows = append(out.rows, row)
-		}
-		rc.addMatches(stats.Matches)
-		return out
-	}
-	// Workers claim clusters off a shared atomic index — dispatch costs
-	// no per-query allocation proportional to the cluster count (a
-	// buffered channel here once meant a len(clusters)-int allocation per
-	// query) — and stop claiming as soon as any worker fails.
-	var next atomic.Int64
-	fl := rc.flightRef()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ex := q.newExecutor(opts, policy)
-			if rc != nil {
-				ex.SetInterrupt(rc.interrupt())
-			}
-			if masks != nil {
-				ex.SetVectorized(true)
-			}
-			for {
-				ci := int(next.Add(1) - 1)
-				if ci >= len(clusters) || failed.Load() {
-					return
-				}
-				out := searchCluster(ex, ci)
-				if out.err != nil {
-					failed.Store(true)
-				} else if fl != nil {
-					fl.TickClusters(1)
-					fl.TickRows(int64(len(clusters[ci])))
-					fl.TickMatches(int64(out.stats.Matches))
-				}
-				outs[ci] = out
-			}
-		}()
-	}
-	wg.Wait()
-
-	for ci := range outs {
-		if outs[ci].err != nil {
-			return nil, outs[ci].err
-		}
-	}
-	if err := rc.check(); err != nil {
-		return nil, err
-	}
-	for ci := range outs {
-		res.Stats.Add(outs[ci].stats)
-		res.clusterStats = append(res.clusterStats, ClusterStat{Cluster: ci, Rows: len(clusters[ci]), Stats: outs[ci].stats})
-		if len(outs[ci].matches) > 0 {
-			res.Matches = append(res.Matches, ClusterMatches{Cluster: ci, Matches: outs[ci].matches})
-		}
-		res.Rows = append(res.Rows, outs[ci].rows...)
-	}
-	return res, nil
-}
-
-// effectiveWorkers resolves a run's parallel fan-out bound: an explicit
+// effectiveWorkers resolves a run's fan-out bound: an explicit
 // MaxWorkers wins, otherwise GOMAXPROCS.
 func effectiveWorkers(opts RunOptions) int {
 	if opts.MaxWorkers > 0 {

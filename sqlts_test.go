@@ -443,3 +443,35 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
+
+// TestAggregateThroughSQL: span aggregates end to end, on the Example 8
+// query shape.
+func TestAggregateThroughSQL(t *testing.T) {
+	db := quoteDB(t)
+	insertSeries(t, db, "ACME", 10000, 20, 21, 23, 24, 22, 20, 18, 15, 14, 18, 21)
+	res, err := db.Query(`
+		SELECT COUNT(Y) AS falldays, MIN(Y.price) AS bottom, AVG(Z.price) AS recovery
+		FROM quote
+		  CLUSTER BY name
+		  SEQUENCE BY date
+		  AS (*X, *Y, *Z)
+		WHERE X.price > X.previous.price
+		  AND Y.price < Y.previous.price
+		  AND Z.price > Z.previous.price`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+	row := res.Rows[0]
+	if row[0].Int() != 5 { // falling days: 22 20 18 15 14
+		t.Errorf("COUNT(Y) = %v, want 5", row[0])
+	}
+	if row[1].Float() != 14 {
+		t.Errorf("MIN(Y.price) = %v, want 14", row[1])
+	}
+	if row[2].Float() != 19.5 { // (18+21)/2
+		t.Errorf("AVG(Z.price) = %v, want 19.5", row[2])
+	}
+}
