@@ -329,7 +329,7 @@ func TestChaosStream(t *testing.T) {
 
 // TestPanicLandsInSlowLog: a contained panic leaves a slow-log record
 // carrying the panic value and the captured stack, plus a retained
-// trace — the forensic trail ISSUE 7 requires.
+// trace — the forensic trail of a contained panic.
 func TestPanicLandsInSlowLog(t *testing.T) {
 	defer fault.Reset()
 	db, q := chaosDB(t)
@@ -344,6 +344,9 @@ func TestPanicLandsInSlowLog(t *testing.T) {
 	recs := db.SlowLog()
 	if len(recs) == 0 {
 		t.Fatal("no slow-log record for the contained panic")
+	}
+	if ev := recs[0]; ev.ErrorKind != "panic" || db.TraceByID(ev.TraceID) == nil {
+		t.Errorf("panic record: error kind %q, trace %d unresolvable", ev.ErrorKind, ev.TraceID)
 	}
 	var buf bytes.Buffer
 	if err := db.WriteSlowLog(&buf, true); err != nil {

@@ -32,8 +32,8 @@ import (
 //	\counters     toggle the per-query counter line after each SELECT
 //	\stats        print the per-statement statistics table (calls,
 //	              latency quantiles, pred-evals, cache hit rates)
-//	\slowlog [full]  print the retained slow-query log (full: with each
-//	              record's annotated plan report)
+//	\slowlog [full]  print the retained slow and panicked runs (full:
+//	              with each one's annotated plan report or panic stack)
 //	\timing [on|off]  toggle wall-clock timing of each statement
 //	              (cache hits are noted on the timing line)
 //	\timeout [dur|off]  bound each statement's execution (e.g. 500ms,

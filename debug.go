@@ -1,8 +1,9 @@
 package sqlts
 
 // The /debug HTTP surface: one mux per DB bundling the Prometheus
-// exposition, the statement-stats table, the slow-query log, retained
-// trace export (text and Chrome trace-event JSON), and net/http/pprof.
+// exposition, the statement-stats table, the slow-query log, the recent
+// events, retained trace export (text and Chrome trace-event JSON), and
+// net/http/pprof.
 // Mount it on any server:
 //
 //	go http.ListenAndServe("localhost:6060", db.DebugHandler())
@@ -77,10 +78,10 @@ func (db *DB) StartRuntimeSampler(interval time.Duration) (stop func()) {
 //
 //	/metrics               Prometheus exposition (runtime gauges sampled per scrape)
 //	/debug/statements      per-statement stats — JSON, ?format=text for the table
-//	/debug/slowlog         retained slow-query log — JSON, ?format=text[&verbose=1]
+//	/debug/slowlog         retained slow and panicked events — JSON, ?format=text[&verbose=1]
 //	/debug/queries         in-flight queries — JSON, ?format=text for progress bars; POST id=<n> kills
-//	/debug/events          recent wide events — JSON, ?format=text
-//	/debug/trace/          retained-trace index (JSON)
+//	/debug/events          recent events — JSON, ?format=text
+//	/debug/trace/          events with a retained trace (JSON)
 //	/debug/trace/<id>      one trace — Chrome trace-event JSON, ?format=text for the phase table
 //	/debug/pprof/*         net/http/pprof (profile, heap, goroutine, ...)
 //
@@ -172,7 +173,7 @@ func (db *DB) serveQueries(w http.ResponseWriter, r *http.Request) {
 	}{db.ActiveQueries()})
 }
 
-// serveEvents tails the retained wide-event ring, most recent first.
+// serveEvents tails the recent-event ring, most recent first.
 func (db *DB) serveEvents(w http.ResponseWriter, r *http.Request) {
 	events := db.RecentEvents()
 	if r.URL.Query().Get("format") == "text" {
@@ -184,7 +185,7 @@ func (db *DB) serveEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			fmt.Fprintf(w, "%s  [%d] %-8s %s  %s  rows=%d pred-evals=%d\n",
 				ev.Time.Format(time.RFC3339), ev.QueryID, kind,
-				time.Duration(ev.DurationNs).Round(time.Microsecond), oneLine(ev.SQL), ev.Rows, ev.PredEvals)
+				time.Duration(ev.DurationNs).Round(time.Microsecond), oneLine(ev.SQL, 120), ev.Rows, ev.PredEvals)
 		}
 		return
 	}
@@ -200,29 +201,16 @@ func (db *DB) serveSlowLog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, struct {
-		SlowQueries []SlowQueryRecord `json:"slow_queries"`
+		SlowQueries []obs.Event `json:"slow_queries"`
 	}{db.SlowLog()})
-}
-
-// traceIndexEntry is the JSON shape of one /debug/trace/ index row.
-type traceIndexEntry struct {
-	ID    uint64    `json:"id"`
-	SQL   string    `json:"sql"`
-	Time  time.Time `json:"time"`
-	Slow  bool      `json:"slow,omitempty"`
-	Spans int       `json:"spans"`
 }
 
 func (db *DB) serveTrace(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	if rest == "" {
-		out := []traceIndexEntry{}
-		for _, t := range db.RetainedTraces() {
-			out = append(out, traceIndexEntry{ID: t.ID, SQL: t.SQL, Time: t.Time, Slow: t.Slow, Spans: len(t.Spans)})
-		}
 		writeJSON(w, struct {
-			Traces []traceIndexEntry `json:"traces"`
-		}{out})
+			Traces []obs.Event `json:"traces"`
+		}{db.RetainedTraces()})
 		return
 	}
 	id, err := strconv.ParseUint(rest, 10, 64)
@@ -230,18 +218,18 @@ func (db *DB) serveTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "trace id must be an integer", http.StatusBadRequest)
 		return
 	}
-	t := db.TraceByID(id)
-	if t == nil {
+	ev := db.TraceByID(id)
+	if ev == nil {
 		http.NotFound(w, r)
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "trace %d  %s\n%s\n", t.ID, t.SQL, obs.FormatSpans(t.Spans))
+		fmt.Fprintf(w, "trace %d  %s\n%s\n", ev.TraceID, ev.SQL, obs.FormatSpans(ev.Spans))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	obs.WriteChromeTrace(w, t.Spans)
+	obs.WriteChromeTrace(w, ev.Spans)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

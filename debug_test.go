@@ -17,7 +17,7 @@ import (
 func TestDebugHandlerSmoke(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
-	db.SetSlowQueryThreshold(time.Nanosecond, nil)
+	db.SetSlowQueryThreshold(time.Nanosecond)
 	db.SetTraceSampleRate(1)
 	if _, err := db.Query(introspectSQL1); err != nil {
 		t.Fatal(err)
@@ -95,15 +95,16 @@ func TestDebugHandlerSmoke(t *testing.T) {
 	}
 	var slow struct {
 		SlowQueries []struct {
-			ID      uint64 `json:"id"`
 			TraceID uint64 `json:"trace_id"`
+			Slow    bool   `json:"slow"`
 			Report  string `json:"report"`
 		} `json:"slow_queries"`
 	}
 	if err := json.Unmarshal([]byte(body), &slow); err != nil {
 		t.Fatalf("/debug/slowlog is not valid JSON: %v\n%s", err, body)
 	}
-	if len(slow.SlowQueries) != 1 || slow.SlowQueries[0].TraceID == 0 {
+	if len(slow.SlowQueries) != 1 || slow.SlowQueries[0].TraceID == 0 ||
+		!slow.SlowQueries[0].Slow || !strings.Contains(slow.SlowQueries[0].Report, "Phases:") {
 		t.Fatalf("/debug/slowlog content wrong:\n%s", body)
 	}
 	code, body = get("/debug/slowlog?format=text&verbose=1")
@@ -118,17 +119,17 @@ func TestDebugHandlerSmoke(t *testing.T) {
 	}
 	var idx struct {
 		Traces []struct {
-			ID    uint64 `json:"id"`
-			Spans int    `json:"spans"`
+			TraceID uint64 `json:"trace_id"`
+			SQL     string `json:"sql"`
 		} `json:"traces"`
 	}
 	if err := json.Unmarshal([]byte(body), &idx); err != nil {
 		t.Fatalf("/debug/trace/ is not valid JSON: %v\n%s", err, body)
 	}
-	if len(idx.Traces) == 0 || idx.Traces[0].Spans == 0 {
+	if len(idx.Traces) != 1 || idx.Traces[0].TraceID != slow.SlowQueries[0].TraceID || idx.Traces[0].SQL == "" {
 		t.Fatalf("/debug/trace/ index wrong:\n%s", body)
 	}
-	id := idx.Traces[0].ID
+	id := idx.Traces[0].TraceID
 	code, body = get(fmt.Sprintf("/debug/trace/%d", id))
 	if code != http.StatusOK {
 		t.Fatalf("/debug/trace/%d returned %d", id, code)

@@ -1,10 +1,13 @@
 package sqlts
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"sqlts/internal/obs"
 	"sqlts/internal/storage"
 )
 
@@ -245,32 +248,70 @@ func TestDBMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestSlowQueryHook checks threshold crossing and the callback payload.
+// eventCollector is an EventSink keeping every event it is handed.
+type eventCollector struct {
+	mu  sync.Mutex
+	evs []obs.Event
+}
+
+func (c *eventCollector) Emit(ev obs.Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.evs = append(c.evs, ev)
+}
+
+func (c *eventCollector) events() []obs.Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]obs.Event(nil), c.evs...)
+}
+
+// TestSlowQueryHook checks threshold crossing with a slow-query hook
+// written as an EventSink: slow and failed events reach it whatever the
+// sink sampling, the slow one carrying its report and trace.
 func TestSlowQueryHook(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
-	var got []SlowQueryInfo
-	db.SetSlowQueryThreshold(time.Nanosecond, func(info SlowQueryInfo) {
-		got = append(got, info)
-	})
+	var hook eventCollector
+	db.SetEventSink(&hook)
+	db.SetEventSampleRate(1000)
+	db.SetSlowQueryThreshold(time.Nanosecond)
 	const sql = `SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE Y.price > X.price`
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
+	got := hook.events()
 	if len(got) != 1 {
-		t.Fatalf("slow-query callbacks = %d, want 1", len(got))
+		t.Fatalf("sink received %d events, want the 1 slow one", len(got))
 	}
-	if got[0].SQL != sql || got[0].Duration <= 0 || got[0].Stats.IsZero() {
-		t.Errorf("slow-query info = %+v", got[0])
+	ev := got[0]
+	if !ev.Slow || ev.SQL != normalizeSQL(sql) || ev.DurationNs <= 0 || ev.PredEvals == 0 {
+		t.Errorf("slow event = %+v", ev)
+	}
+	if !strings.Contains(ev.Report, "Phases:") || ev.TraceID == 0 || len(ev.Spans) == 0 {
+		t.Errorf("slow event lacks its report or trace: trace %d, %d spans, report:\n%s",
+			ev.TraceID, len(ev.Spans), ev.Report)
 	}
 
-	// Raising the threshold silences the hook.
-	db.SetSlowQueryThreshold(time.Hour, nil)
+	// Raising the threshold silences the hook: the fast run is sampled
+	// out. A failed run still bypasses sampling.
+	db.SetSlowQueryThreshold(time.Hour)
 	if _, err := db.Query(sql); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Errorf("hook fired with %v threshold", time.Hour)
+	if n := len(hook.events()); n != 1 {
+		t.Errorf("sink received %d events after the fast run, want 1", n)
+	}
+	q, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.RunWith(RunOptions{MaxMatches: 1}); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("MaxMatches run: err = %v, want ErrBudgetExceeded", err)
+	}
+	got = hook.events()
+	if len(got) != 2 || got[1].ErrorKind != "budget" || got[1].Slow {
+		t.Errorf("failed run did not bypass sampling: %+v", got)
 	}
 	var b strings.Builder
 	if err := db.WriteMetrics(&b); err != nil {

@@ -3,11 +3,10 @@ package sqlts
 // The query flight recorder (live-operations layer): every Run and
 // open Stream registers a Flight in the DB's active-query registry,
 // executors tick its progress counters as they go — per shard on the
-// scatter-gather path — and each completed execution emits one
-// structured wide event. /debug/queries (debug.go) lists the in-flight
-// registrations and accepts a POST kill that lands in the PR 7
-// cancellation path as ErrKilled; /debug/events tails the retained
-// wide-event ring.
+// scatter-gather path — and each completed execution publishes its one
+// obs.Event. /debug/queries (debug.go) lists the in-flight
+// registrations and accepts a POST kill that lands in the cancellation
+// path as ErrKilled; /debug/events tails the recent-event ring.
 
 import (
 	"errors"
@@ -16,13 +15,21 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"sqlts/internal/obs"
 )
 
-// defaultEventRingCapacity bounds the in-memory wide-event tail served
-// by /debug/events.
+// defaultEventRingCapacity bounds the recent-event tail served by
+// /debug/events.
 const defaultEventRingCapacity = 256
+
+// keptEventCapacity bounds the ring of events that carry a report or a
+// trace: the slow log and the retained traces. It is a ring of its own
+// so that a slow or panicked record survives a flood of fast queries;
+// in the recent ring it would be evicted after 256 executions, which
+// is under 0.1 s of a warm repeated query.
+const keptEventCapacity = 64
 
 // ErrNoSuchQuery reports a KillQuery id that matched no in-flight
 // execution (already finished, or never existed).
@@ -35,24 +42,25 @@ type eventSinkBox struct{ sink obs.EventSink }
 // flightState is the DB's flight-recorder state, embedded in DB.
 type flightState struct {
 	// flights is the active-query registry; off disables registration
-	// (and the wide-event ring) entirely for overhead measurements.
+	// (and the recent-event ring) entirely for overhead measurements.
 	flights *obs.FlightRegistry
 	off     atomic.Bool
 
-	// sink is the pluggable wide-event destination (nil = none);
-	// sample emits 1 event in N to the sink (slow and failed runs
-	// bypass sampling); ring is the retained tail for /debug/events.
-	sink      atomic.Pointer[eventSinkBox]
-	sample    atomic.Int64
-	eventSeq  atomic.Int64
-	ring      atomic.Pointer[obs.EventRing]
-	slowEvent atomic.Int64 // threshold ns for the event's slow flag
+	// sink is the pluggable event destination (nil = none); sample
+	// emits 1 event in N to the sink (slow and failed runs bypass
+	// sampling); recent is the tail for /debug/events, fed while the
+	// recorder is on.
+	sink     atomic.Pointer[eventSinkBox]
+	sample   atomic.Int64
+	eventSeq atomic.Int64
+	recent   *obs.EventRing
 }
 
 // SetFlightRecorder enables or disables the active-query registry and
-// the wide-event ring (both on by default). Disabling stops new
+// the recent-event ring (both on by default). Disabling stops new
 // registrations; flights already in the registry finish normally. The
-// event sink, when set, keeps receiving events either way.
+// event sink, the statement stats and the slow log keep receiving
+// events either way.
 func (db *DB) SetFlightRecorder(on bool) {
 	db.flight.off.Store(!on)
 }
@@ -105,11 +113,10 @@ func (db *DB) deregisterFlight(fl *obs.Flight) {
 	db.metrics.flightsActive.Dec()
 }
 
-// SetEventSink installs the wide-event destination: one JSON-able
-// obs.Event per completed query/stream is handed to it (sampled per
+// SetEventSink installs the event destination: the obs.Event of every
+// completed query and closed stream is handed to it (sampled per
 // SetEventSampleRate; slow and failed runs always emit). nil removes
-// the sink. Events also land in the in-memory ring for /debug/events
-// whenever the flight recorder is on, sink or not.
+// the sink. A sink is also the slow-query hook: check Event.Slow.
 func (db *DB) SetEventSink(s obs.EventSink) {
 	if s == nil {
 		db.flight.sink.Store(nil)
@@ -128,64 +135,27 @@ func (db *DB) SetEventSampleRate(n int) {
 	db.flight.sample.Store(int64(n))
 }
 
-// SetEventRingCapacity resizes the retained wide-event tail served by
-// /debug/events (default 256; 0 disables retention).
+// SetEventRingCapacity resizes the recent-event tail served by
+// /debug/events (default 256; 0 disables it).
 func (db *DB) SetEventRingCapacity(n int) {
-	db.flight.ring.Load().SetCapacity(n)
+	db.flight.recent.SetCapacity(n)
 }
 
-// RecentEvents returns the retained wide events, most recent first.
+// RecentEvents returns the recent events, most recent first.
 func (db *DB) RecentEvents() []obs.Event {
-	return db.flight.ring.Load().Snapshot()
+	return db.flight.recent.Snapshot()
 }
 
-// emitEvent assembles and routes one completion wide event. res is nil
-// for failed runs; runErr is nil for successes. Cheap exits first: with
-// the recorder off and no sink installed, this is two atomic loads.
-func (db *DB) emitEvent(q *Query, opts RunOptions, fl *obs.Flight, res *Result, scanned int, dur, admWait time.Duration, runErr error) {
+// publish routes one finished execution's event to the rings and,
+// subject to sampling, the sink. Error and slow events bypass sampling.
+func (db *DB) publish(ev *obs.Event) {
+	if ev.TraceID != 0 || ev.Report != "" {
+		db.kept.Add(*ev)
+	}
+	if !db.flight.off.Load() {
+		db.flight.recent.Add(*ev)
+	}
 	box := db.flight.sink.Load()
-	recorderOn := !db.flight.off.Load()
-	if box == nil && !recorderOn {
-		return
-	}
-	ev := obs.Event{
-		Time:            time.Now(),
-		QueryID:         fl.ID(),
-		SQL:             q.plan.key,
-		Executor:        q.effectiveExecutor(opts).String(),
-		DurationNs:      dur.Nanoseconds(),
-		AdmissionWaitNs: admWait.Nanoseconds(),
-		PlanCached:      q.planCached,
-		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
-		PlanRevision:    int64(q.plan.revision),
-	}
-	if res != nil {
-		ev.Rows = int64(len(res.Rows))
-		ev.RowsScanned = int64(scanned)
-		ev.Clusters = int64(len(res.clusterStats))
-		ev.PredEvals = res.Stats.PredEvals
-		ev.Rollbacks = res.Stats.Rollbacks
-		ev.Matches = int64(res.Stats.Matches)
-		ev.PartitionCached = res.partitionCached
-		ev.Vectorized = res.vectorized
-		ev.Shards = res.shardCount
-	}
-	if runErr != nil {
-		ev.Error = runErr.Error()
-		ev.ErrorKind = classifyError(runErr).String()
-	}
-	if th := db.flight.slowEvent.Load(); th > 0 && dur.Nanoseconds() >= th {
-		ev.Slow = true
-	}
-	db.routeEvent(ev, box, recorderOn)
-}
-
-// routeEvent delivers one assembled event to the ring and, subject to
-// sampling, the sink. Error and slow events bypass sampling.
-func (db *DB) routeEvent(ev obs.Event, box *eventSinkBox, recorderOn bool) {
-	if recorderOn {
-		db.flight.ring.Load().Add(ev)
-	}
 	if box == nil {
 		return
 	}
@@ -195,17 +165,12 @@ func (db *DB) routeEvent(ev obs.Event, box *eventSinkBox, recorderOn bool) {
 		}
 	}
 	db.metrics.eventsEmitted.Inc()
-	box.sink.Emit(ev)
+	box.sink.Emit(*ev)
 }
 
-// emitStreamEvent emits the wide event of one closed stream: the
+// emitStreamEvent publishes the event of one closed stream: the
 // push/match totals with the stream flag set.
 func (db *DB) emitStreamEvent(st *Stream, runErr error) {
-	box := db.flight.sink.Load()
-	recorderOn := !db.flight.off.Load()
-	if box == nil && !recorderOn {
-		return
-	}
 	stats := st.Stats()
 	ev := obs.Event{
 		Time:      time.Now(),
@@ -223,10 +188,13 @@ func (db *DB) emitStreamEvent(st *Stream, runErr error) {
 		ev.RowsScanned = snap.RowsScanned
 	}
 	if runErr != nil {
-		ev.Error = runErr.Error()
-		ev.ErrorKind = classifyError(runErr).String()
+		setEventError(&ev, runErr)
+		if ev.Report != "" {
+			db.retainTrace(&ev, st.q.trace)
+		}
 	}
-	db.routeEvent(ev, box, recorderOn)
+	st.entry.Record(&ev)
+	db.publish(&ev)
 }
 
 // WriteActiveQueries renders the in-flight table as text with per-query
@@ -237,7 +205,7 @@ func (db *DB) WriteActiveQueries(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d in-flight quer%s\n", len(snaps), plural(len(snaps), "y", "ies"))
 	for _, s := range snaps {
-		fmt.Fprintf(&b, "\n[%d] %s  %s", s.ID, s.Phase, oneLine(s.SQL))
+		fmt.Fprintf(&b, "\n[%d] %s  %s", s.ID, s.Phase, oneLine(s.SQL, 120))
 		if s.Killed {
 			b.WriteString("  (kill pending)")
 		}
@@ -276,10 +244,20 @@ func progressBar(done, total int64, width int) string {
 	return "[" + strings.Repeat("#", filled) + strings.Repeat(".", width-filled) + "]"
 }
 
-func oneLine(sql string) string {
+// oneLine collapses a statement's whitespace to single spaces and cuts
+// it to at most n runes, the last of them "…". It cuts on a rune
+// boundary, so a multi-byte literal at the limit stays valid UTF-8.
+func oneLine(sql string, n int) string {
 	s := strings.Join(strings.Fields(sql), " ")
-	if len(s) > 120 {
-		s = s[:117] + "..."
+	if utf8.RuneCountInString(s) <= n {
+		return s
+	}
+	runes := 0
+	for i := range s {
+		if runes == n-1 {
+			return s[:i] + "…"
+		}
+		runes++
 	}
 	return s
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"sqlts/internal/fault"
 	"sqlts/internal/obs"
@@ -379,5 +380,45 @@ func TestFlightRaceKill(t *testing.T) {
 
 	if n := len(db.ActiveQueries()); n != 0 {
 		t.Errorf("registry holds %d flights after the storm", n)
+	}
+}
+
+// TestOneLineRuneSafe: the one-line SQL renderer cuts on rune
+// boundaries, so a multi-byte literal straddling the limit stays valid
+// UTF-8 in every text view (\\queries, /debug/events, \\stats,
+// \\slowlog).
+func TestOneLineRuneSafe(t *testing.T) {
+	sql := "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y)\n\tWHERE X.name = '" +
+		strings.Repeat("é", 150) + "…' AND Y.price > X.price"
+	for n := 2; n <= utf8.RuneCountInString(sql)+1; n++ {
+		got := oneLine(sql, n)
+		if !utf8.ValidString(got) || utf8.RuneCountInString(got) > n || strings.ContainsAny(got, "\n\t") {
+			t.Fatalf("oneLine(sql, %d) = %q: invalid UTF-8, over %d runes, or not one line", n, got, n)
+		}
+	}
+	if got := oneLine("a  b", 3); got != "a b" {
+		t.Errorf("oneLine kept a statement that fits: %q, want %q", got, "a b")
+	}
+
+	// End to end: every text view of such a statement stays valid.
+	db := quoteDB(t)
+	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+	db.SetSlowQueryThreshold(time.Nanosecond)
+	if _, err := db.Query(sql); err != nil {
+		t.Fatal(err)
+	}
+	var stats, slow strings.Builder
+	if err := db.WriteStatementStats(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WriteSlowLog(&slow, false); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	db.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/events?format=text", nil))
+	for view, out := range map[string]string{"\\stats": stats.String(), "\\slowlog": slow.String(), "/debug/events": rec.Body.String()} {
+		if !utf8.ValidString(out) || !strings.Contains(out, "…") {
+			t.Errorf("%s renders invalid UTF-8 or no cut statement:\n%s", view, out)
+		}
 	}
 }

@@ -1,10 +1,11 @@
 package obs
 
-// The structured wide-event log: one self-contained JSON record per
-// completed query carrying the full counter set, so post-hoc analysis
-// is grep/jq over a file instead of eyeballing the slow log. Events
-// flow through a pluggable EventSink; EventRing retains the most
-// recent ones in memory for /debug/events.
+// The per-execution record: one self-contained Event per completed
+// query (or closed stream) carrying the full counter set, so post-hoc
+// analysis is grep/jq over a file. The same value feeds the metrics,
+// the statement store, the in-memory EventRings (the recent tail, the
+// slow log and the retained traces are views over them) and a
+// pluggable EventSink.
 
 import (
 	"encoding/json"
@@ -16,7 +17,8 @@ import (
 
 // Event is one completed execution (or closed stream), wide: every
 // counter the run accumulated, the cache/kernel/vectorize/shard flags,
-// and — for failures — the error text and its class.
+// for failures the error text and its class, and for slow, panicked or
+// sampled runs the report and lifecycle trace.
 type Event struct {
 	Time     time.Time `json:"ts"`
 	QueryID  uint64    `json:"query_id,omitempty"`
@@ -45,6 +47,15 @@ type Event struct {
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
 	Slow      bool   `json:"slow,omitempty"`
+
+	// Report is the plan annotated with the run (slow runs) or the
+	// panic value and captured stack (contained panics).
+	Report string `json:"report,omitempty"`
+	// TraceID keys the retained lifecycle trace; it is set exactly when
+	// Spans is, from one sequence per DB.
+	TraceID uint64 `json:"trace_id,omitempty"`
+	// Spans is the lifecycle trace of slow, panicked and sampled runs.
+	Spans []*Span `json:"-"`
 }
 
 // EventSink consumes wide events. Emit is called synchronously from
@@ -90,23 +101,22 @@ func (s *WriterSink) Err() error {
 	return s.err
 }
 
-// EventRing retains the most recent events in a fixed-capacity ring
-// for /debug/events. The zero capacity disables retention. All methods
-// are safe for concurrent use; a nil ring is inert.
+// EventRing retains the most recent events in a fixed-capacity ring.
+// The zero capacity disables retention. All methods are safe for
+// concurrent use; a nil ring is inert.
 type EventRing struct {
-	mu    sync.Mutex
+	mu       sync.Mutex
+	capacity int
+	// buf grows to capacity on demand (an unused ring costs nothing),
+	// then wraps: next is the oldest slot, overwritten next.
 	buf   []Event
 	next  int
-	n     int
 	total int64
 }
 
 // NewEventRing creates a ring retaining up to capacity events.
 func NewEventRing(capacity int) *EventRing {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &EventRing{buf: make([]Event, capacity)}
+	return &EventRing{capacity: max(capacity, 0)}
 }
 
 // Add records one event, evicting the oldest at capacity.
@@ -117,13 +127,12 @@ func (r *EventRing) Add(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.total++
-	if len(r.buf) == 0 {
-		return
-	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
+	switch {
+	case len(r.buf) < r.capacity:
+		r.buf = append(r.buf, e)
+	case r.capacity > 0:
+		r.buf[r.next] = e
+		r.next = (r.next + 1) % r.capacity
 	}
 }
 
@@ -134,9 +143,10 @@ func (r *EventRing) Snapshot() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.next-1-i+len(r.buf))%len(r.buf)])
+	n := len(r.buf)
+	out := make([]Event, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.buf[(r.next-1-i+n)%n])
 	}
 	return out
 }
@@ -151,32 +161,32 @@ func (r *EventRing) Total() int64 {
 	return r.total
 }
 
+// Reset drops every retained event (the capacity is kept).
+func (r *EventRing) Reset() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.buf, r.next = nil, 0
+}
+
 // SetCapacity resizes the ring, keeping the most recent events that
 // fit.
 func (r *EventRing) SetCapacity(capacity int) {
 	if r == nil {
 		return
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
+	capacity = max(capacity, 0)
 	recent := r.Snapshot()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = make([]Event, capacity)
-	r.next, r.n = 0, 0
-	if capacity == 0 {
-		return
-	}
 	if len(recent) > capacity {
 		recent = recent[:capacity]
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.capacity, r.buf, r.next = capacity, nil, 0
 	// recent is most-recent-first; reinsert oldest-first.
 	for i := len(recent) - 1; i >= 0; i-- {
-		r.buf[r.next] = recent[i]
-		r.next = (r.next + 1) % capacity
-		if r.n < capacity {
-			r.n++
-		}
+		r.buf = append(r.buf, recent[i])
 	}
 }

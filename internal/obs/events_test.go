@@ -93,6 +93,16 @@ func TestEventRing(t *testing.T) {
 		t.Fatalf("add after resize: %+v", snap)
 	}
 
+	// Reset drops the events and keeps the capacity.
+	r.Reset()
+	if len(r.Snapshot()) != 0 {
+		t.Fatal("events survived Reset")
+	}
+	r.Add(Event{Rows: 7})
+	if snap = r.Snapshot(); len(snap) != 1 || snap[0].Rows != 7 {
+		t.Fatalf("add after Reset: %+v", snap)
+	}
+
 	// Zero capacity disables retention but keeps counting.
 	r.SetCapacity(0)
 	r.Add(Event{})
@@ -107,6 +117,7 @@ func TestEventRing(t *testing.T) {
 		t.Error("nil ring not inert")
 	}
 	nr.SetCapacity(4)
+	nr.Reset()
 }
 
 func TestErrClassString(t *testing.T) {

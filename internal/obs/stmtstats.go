@@ -7,8 +7,9 @@ package obs
 // key to its entry (read-locked) or to create one (write-locked, once
 // per statement).
 //
-// The package stays engine-agnostic: callers hand over plain integers
-// (QueryObs), and snapshots come back as JSON-taggable values.
+// The package stays engine-agnostic: executions arrive as the same
+// Event the rest of the package routes, and snapshots come back as
+// JSON-taggable values.
 
 import (
 	"sort"
@@ -150,51 +151,24 @@ const (
 	ErrKilled
 )
 
-// String names the class for wide events and text renderings.
-func (c ErrClass) String() string {
-	switch c {
-	case ErrCanceled:
-		return "canceled"
-	case ErrDeadline:
-		return "deadline"
-	case ErrBudget:
-		return "budget"
-	case ErrPanic:
-		return "panic"
-	case ErrRejected:
-		return "rejected"
-	case ErrKilled:
-		return "killed"
-	default:
-		return "other"
-	}
+// errClassNames names each class for events and text renderings; an
+// event's ErrorKind maps back to its class through it.
+var errClassNames = [...]string{
+	ErrOther:    "other",
+	ErrCanceled: "canceled",
+	ErrDeadline: "deadline",
+	ErrBudget:   "budget",
+	ErrPanic:    "panic",
+	ErrRejected: "rejected",
+	ErrKilled:   "killed",
 }
 
-// QueryObs carries one finished query execution into the store: plain
-// integers so the caller's engine types stay out of this package.
-type QueryObs struct {
-	DurNs           int64
-	Rows            int64
-	RowsScanned     int64
-	PredEvals       int64
-	Rollbacks       int64
-	Matches         int64
-	AdmissionWaitNs int64
-	PlanCached      bool
-	PartitionCached bool
-	// Kernel reports whether compiled predicate kernels evaluated probes
-	// (false = interpreter run, via NoKernel or full fallback).
-	Kernel bool
-	// Naive marks runs of the naive executor; pred-evals of naive and
-	// optimized runs accumulate separately so the paper's savings metric
-	// is computable per statement once both have been observed.
-	Naive bool
-	// Vectorized reports whether the run probed through selection
-	// bitmasks.
-	Vectorized bool
-	// PlanRevision is the adaptive revision of the plan that served the
-	// run (0 = the plan as compiled from SQL).
-	PlanRevision int64
+// String names the class for wide events and text renderings.
+func (c ErrClass) String() string {
+	if int(c) < len(errClassNames) {
+		return errClassNames[c]
+	}
+	return "other"
 }
 
 // MaskRates accumulates the per-element, per-condition match counts the
@@ -318,12 +292,7 @@ type StmtStats struct {
 
 	calls     atomic.Int64
 	errors    atomic.Int64
-	canceled  atomic.Int64
-	deadline  atomic.Int64
-	budget    atomic.Int64
-	panics    atomic.Int64
-	rejected  atomic.Int64
-	killed    atomic.Int64
+	byClass   [len(errClassNames)]atomic.Int64 // errors by ErrClass
 	admWaitNs atomic.Int64
 	rows      atomic.Int64
 	scanned   atomic.Int64
@@ -365,73 +334,65 @@ func (s *StmtStats) Key() string {
 	return s.key
 }
 
-// RecordQuery folds one finished execution into the entry.
-func (s *StmtStats) RecordQuery(o QueryObs) {
+// Record folds one finished execution's event into the entry: a
+// failure counts under its error class, a success adds its counters and
+// latency, and either adds its admission wait and retained trace ID. A
+// stream's event (one per closed stream) adds only its failure; its
+// pushes and matches are folded push by push (RecordPush,
+// RecordPushMatch).
+func (s *StmtStats) Record(e *Event) {
 	if s == nil {
 		return
 	}
+	s.admWaitNs.Add(e.AdmissionWaitNs)
+	if e.TraceID != 0 {
+		s.lastTrace.Store(e.TraceID)
+	}
+	if e.ErrorKind != "" {
+		s.errors.Add(1)
+		for c, name := range errClassNames {
+			if name == e.ErrorKind {
+				s.byClass[c].Add(1)
+				break
+			}
+		}
+		return
+	}
+	if e.Stream {
+		return
+	}
 	s.calls.Add(1)
-	s.rows.Add(o.Rows)
-	s.scanned.Add(o.RowsScanned)
-	s.predEvals.Add(o.PredEvals)
-	s.rollbacks.Add(o.Rollbacks)
-	s.matches.Add(o.Matches)
-	if o.PlanCached {
+	s.rows.Add(e.Rows)
+	s.scanned.Add(e.RowsScanned)
+	s.predEvals.Add(e.PredEvals)
+	s.rollbacks.Add(e.Rollbacks)
+	s.matches.Add(e.Matches)
+	if e.PlanCached {
 		s.planHits.Add(1)
 	}
-	if o.PartitionCached {
+	if e.PartitionCached {
 		s.partHits.Add(1)
 	}
-	if o.Kernel {
+	if e.Kernel {
 		s.kernelRuns.Add(1)
 	} else {
 		s.interpRuns.Add(1)
 	}
-	if o.Naive {
+	// Pred-evals of naive and optimized runs accumulate separately so the
+	// paper's savings metric is computable per statement once both
+	// executors have been observed.
+	if e.Executor == "naive" {
 		s.naiveCalls.Add(1)
-		s.naivePredEvals.Add(o.PredEvals)
+		s.naivePredEvals.Add(e.PredEvals)
 	} else {
 		s.optCalls.Add(1)
-		s.optPredEvals.Add(o.PredEvals)
+		s.optPredEvals.Add(e.PredEvals)
 	}
-	if o.Vectorized {
+	if e.Vectorized {
 		s.vectorizedRuns.Add(1)
 	}
-	s.planRevision.Store(o.PlanRevision)
-	s.admWaitNs.Add(o.AdmissionWaitNs)
-	s.lat.Observe(o.DurNs)
-}
-
-// RecordError counts one failed execution under its class.
-func (s *StmtStats) RecordError(c ErrClass) {
-	if s == nil {
-		return
-	}
-	s.errors.Add(1)
-	switch c {
-	case ErrCanceled:
-		s.canceled.Add(1)
-	case ErrDeadline:
-		s.deadline.Add(1)
-	case ErrBudget:
-		s.budget.Add(1)
-	case ErrPanic:
-		s.panics.Add(1)
-	case ErrRejected:
-		s.rejected.Add(1)
-	case ErrKilled:
-		s.killed.Add(1)
-	}
-}
-
-// RecordAdmissionWait accumulates queue-wait time for an execution that
-// did not finish (rejected or canceled while waiting); successful runs
-// carry their wait in QueryObs.AdmissionWaitNs instead.
-func (s *StmtStats) RecordAdmissionWait(ns int64) {
-	if s == nil {
-		return
-	}
-	s.admWaitNs.Add(ns)
+	s.planRevision.Store(e.PlanRevision)
+	s.lat.Observe(e.DurationNs)
 }
 
 // RecordPush folds one stream push into the entry: rows pruned from the
@@ -481,14 +442,6 @@ func (s *StmtStats) SampleTick() int64 {
 		return -1
 	}
 	return s.sampleTick.Add(1) - 1
-}
-
-// SetLastTrace records the ID of the most recently retained trace.
-func (s *StmtStats) SetLastTrace(id uint64) {
-	if s == nil {
-		return
-	}
-	s.lastTrace.Store(id)
 }
 
 // StmtSnapshot is a point-in-time copy of one statement's counters,
@@ -567,12 +520,12 @@ func (s *StmtStats) Snapshot() StmtSnapshot {
 		Calls:  s.calls.Load(),
 		Errors: s.errors.Load(),
 
-		Canceled:          s.canceled.Load(),
-		DeadlineExceeded:  s.deadline.Load(),
-		BudgetExceeded:    s.budget.Load(),
-		Panics:            s.panics.Load(),
-		AdmissionRejected: s.rejected.Load(),
-		Killed:            s.killed.Load(),
+		Canceled:          s.byClass[ErrCanceled].Load(),
+		DeadlineExceeded:  s.byClass[ErrDeadline].Load(),
+		BudgetExceeded:    s.byClass[ErrBudget].Load(),
+		Panics:            s.byClass[ErrPanic].Load(),
+		AdmissionRejected: s.byClass[ErrRejected].Load(),
+		Killed:            s.byClass[ErrKilled].Load(),
 		AdmissionWaitNs:   s.admWaitNs.Load(),
 
 		Rows:        s.rows.Load(),

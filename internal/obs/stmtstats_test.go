@@ -96,12 +96,17 @@ func TestStmtStoreBasics(t *testing.T) {
 	if st.Lookup("select missing") != nil {
 		t.Error("Lookup must not create entries")
 	}
-	a.RecordQuery(QueryObs{DurNs: 1000, Rows: 2, PredEvals: 7, PlanCached: true, Kernel: true})
-	a.RecordQuery(QueryObs{DurNs: 3000, Rows: 1, PredEvals: 3, Naive: true})
-	a.RecordError(ErrOther)
+	a.Record(&Event{DurationNs: 1000, Rows: 2, PredEvals: 7, PlanCached: true, Kernel: true, Executor: "ops"})
+	a.Record(&Event{DurationNs: 3000, Rows: 1, PredEvals: 3, Executor: "naive"})
+	a.Record(&Event{ErrorKind: ErrOther.String(), AdmissionWaitNs: 5})
+	a.Record(&Event{ErrorKind: ErrBudget.String(), TraceID: 9})
+	a.Record(&Event{Stream: true, PredEvals: 100})
 	snap := a.Snapshot()
-	if snap.Calls != 2 || snap.Errors != 1 || snap.Rows != 3 || snap.PredEvals != 10 {
+	if snap.Calls != 2 || snap.Errors != 2 || snap.Rows != 3 || snap.PredEvals != 10 {
 		t.Errorf("snapshot counters wrong: %+v", snap)
+	}
+	if snap.BudgetExceeded != 1 || snap.AdmissionWaitNs != 5 || snap.LastTraceID != 9 {
+		t.Errorf("snapshot error/wait/trace fields wrong: %+v", snap)
 	}
 	if snap.PlanCacheHits != 1 || snap.KernelRuns != 1 || snap.InterpreterRuns != 1 {
 		t.Errorf("snapshot cache/kernel counters wrong: %+v", snap)
@@ -122,8 +127,8 @@ func TestStmtStoreBasics(t *testing.T) {
 
 func TestStmtStoreCapacityAndOverflow(t *testing.T) {
 	st := NewStmtStore(2)
-	st.Get("s1").RecordQuery(QueryObs{PredEvals: 1})
-	st.Get("s2").RecordQuery(QueryObs{PredEvals: 2})
+	st.Get("s1").Record(&Event{PredEvals: 1})
+	st.Get("s2").Record(&Event{PredEvals: 2})
 	if st.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", st.Len())
 	}
@@ -133,8 +138,8 @@ func TestStmtStoreCapacityAndOverflow(t *testing.T) {
 	if o3 == nil || o3 != o4 || o3.Key() != OverflowKey {
 		t.Fatalf("overflow entries: %v vs %v", o3, o4)
 	}
-	o3.RecordQuery(QueryObs{PredEvals: 10})
-	o4.RecordQuery(QueryObs{PredEvals: 20})
+	o3.Record(&Event{PredEvals: 10})
+	o4.Record(&Event{PredEvals: 20})
 	if st.Len() != 2 {
 		t.Errorf("Len after overflow = %d, want 2", st.Len())
 	}
@@ -164,13 +169,11 @@ func TestStmtStoreCapacityAndOverflow(t *testing.T) {
 	}
 	// Nil entries are safe to use.
 	var nilEntry *StmtStats
-	nilEntry.RecordQuery(QueryObs{})
-	nilEntry.RecordError(ErrOther)
+	nilEntry.Record(&Event{})
 	nilEntry.RecordPush(1, 1)
 	nilEntry.RecordPushMatch()
 	nilEntry.StreamOpened()
 	nilEntry.StreamClosed()
-	nilEntry.SetLastTrace(1)
 	if nilEntry.SampleTick() != -1 {
 		t.Error("nil SampleTick must return -1")
 	}
@@ -201,17 +204,17 @@ func TestStmtStoreConcurrent(t *testing.T) {
 				// 12 distinct keys against capacity 8 exercises overflow.
 				key := fmt.Sprintf("stmt-%d", (g+i)%12)
 				e := st.Get(key)
-				e.RecordQuery(QueryObs{
-					DurNs:     int64(i%1000) * 1000,
-					Rows:      1,
-					PredEvals: int64(i % 7),
-					Kernel:    i%2 == 0,
-					Naive:     i%3 == 0,
+				e.Record(&Event{
+					DurationNs: int64(i%1000) * 1000,
+					Rows:       1,
+					PredEvals:  int64(i % 7),
+					Kernel:     i%2 == 0,
+					Executor:   []string{"naive", "ops", "ops"}[i%3],
+					TraceID:    uint64(i),
 				})
 				e.RecordPush(int64(i%50)*100, int64(i%3))
 				e.StreamOpened()
 				e.SampleTick()
-				e.SetLastTrace(uint64(i))
 				e.StreamClosed()
 				if i%100 == 0 {
 					_ = st.Snapshots()
@@ -234,7 +237,7 @@ func TestStmtStoreConcurrent(t *testing.T) {
 	}
 	st.Reset() // drop the residue so "after" gets a real (non-overflow) entry
 	e := st.Get("after")
-	e.RecordQuery(QueryObs{Rows: 1})
+	e.Record(&Event{Rows: 1})
 	if st.Lookup("after").Snapshot().Rows != 1 {
 		t.Error("store unusable after concurrent reset")
 	}

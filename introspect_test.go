@@ -1,11 +1,16 @@
 package sqlts
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"sqlts/internal/fault"
+	"sqlts/internal/obs"
 	"sqlts/internal/storage"
 )
 
@@ -22,11 +27,13 @@ const (
 // the statement-stats totals must agree exactly with the summed Result
 // counters across cached, uncached, kernel, interpreter, naive and
 // overlap executions — the introspection layer observes the serving
-// path, it must not change or approximate it.
+// path, it must not change or approximate it — and with the fold of
+// the runs' events, failures included.
 func TestStatementTotalsMatchResults(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
 	insertSeries(t, db, "IBM", 10000, 10, 12, 9, 7, 14, 16, 12)
+	db.SetEventRingCapacity(64) // more than the runs below: keep every event
 
 	variants := []RunOptions{
 		{},                    // cached partition, kernel path
@@ -64,12 +71,22 @@ func TestStatementTotalsMatchResults(t *testing.T) {
 		}
 	}
 
+	// One failing run: a budget error counts as an error, not a call.
+	q, err := db.Prepare(introspectSQL2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.RunWith(RunOptions{MaxMatches: 1}); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("MaxMatches run: err = %v, want ErrBudgetExceeded", err)
+	}
+	want.Errors++
+
 	got := db.statementTotals()
 	if got.Calls != want.Calls {
 		t.Errorf("calls: stats %d, results %d", got.Calls, want.Calls)
 	}
-	if got.Errors != 0 {
-		t.Errorf("errors: stats %d, want 0", got.Errors)
+	if got.Errors != want.Errors {
+		t.Errorf("errors: stats %d, want %d", got.Errors, want.Errors)
 	}
 	if got.Rows != want.Rows {
 		t.Errorf("rows: stats %d, results %d", got.Rows, want.Rows)
@@ -118,6 +135,15 @@ func TestStatementTotalsMatchResults(t *testing.T) {
 		}
 	}
 
+	// Statement stats are a fold over the per-execution events.
+	evs := db.RecentEvents()
+	if n := int64(len(evs)); n != want.Calls+want.Errors {
+		t.Fatalf("%d events retained, want %d runs", n, want.Calls+want.Errors)
+	}
+	if fold := foldEvents(evs); !reflect.DeepEqual(fold, got) {
+		t.Errorf("event fold disagrees with the statement stats:\nevents %+v\nstats  %+v", fold, got)
+	}
+
 	// Reset drops the counters but keeps tracking enabled.
 	db.ResetStatementStats()
 	if n := len(db.StatementStats()); n != 0 {
@@ -129,6 +155,46 @@ func TestStatementTotalsMatchResults(t *testing.T) {
 	if got := db.statementTotals(); got.Calls != 1 {
 		t.Errorf("calls after reset = %d, want 1", got.Calls)
 	}
+}
+
+// foldEvents sums events the way StmtStats.Record folds each one into
+// its statement: a failure counts as an error only, a closed stream's
+// event adds nothing else, a successful run adds its counters.
+func foldEvents(evs []obs.Event) statementTotals {
+	var t statementTotals
+	seen := map[string]bool{}
+	for _, ev := range evs {
+		if !seen[ev.SQL] {
+			seen[ev.SQL] = true
+			t.sortKeys = append(t.sortKeys, ev.SQL)
+		}
+		if ev.ErrorKind != "" {
+			t.Errors++
+			continue
+		}
+		if ev.Stream {
+			continue
+		}
+		t.Calls++
+		t.Rows += ev.Rows
+		t.Scanned += ev.RowsScanned
+		t.PredEvals += ev.PredEvals
+		t.Rollbacks += ev.Rollbacks
+		t.Matches += ev.Matches
+		if ev.PlanCached {
+			t.PlanHits++
+		}
+		if ev.PartitionCached {
+			t.PartHits++
+		}
+		if ev.Kernel {
+			t.KernelRuns++
+		} else {
+			t.InterpRuns++
+		}
+	}
+	sort.Strings(t.sortKeys)
+	return t
 }
 
 // TestStatementStatsDisabled checks the introspection-off configuration
@@ -172,7 +238,7 @@ func TestStatementStatsDisabled(t *testing.T) {
 func TestSlowQueryLogRetention(t *testing.T) {
 	db := quoteDB(t)
 	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
-	db.SetSlowQueryThreshold(time.Nanosecond, nil) // everything is slow
+	db.SetSlowQueryThreshold(time.Nanosecond) // everything is slow
 
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(introspectSQL1); err != nil {
@@ -183,12 +249,12 @@ func TestSlowQueryLogRetention(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("slow log has %d records, want 3", len(recs))
 	}
-	// Most recent first, IDs monotone.
-	if recs[0].ID != 3 || recs[2].ID != 1 {
-		t.Errorf("record order wrong: IDs %d..%d", recs[0].ID, recs[2].ID)
+	// Most recent first, trace IDs monotone.
+	if recs[0].TraceID != 3 || recs[2].TraceID != 1 {
+		t.Errorf("record order wrong: trace IDs %d..%d", recs[0].TraceID, recs[2].TraceID)
 	}
 	r := recs[0]
-	if r.SQL == "" || r.Executor == "" || r.Duration <= 0 || r.Rows != 1 {
+	if !r.Slow || r.SQL == "" || r.Executor == "" || r.DurationNs <= 0 || r.Rows != 1 {
 		t.Errorf("record fields wrong: %+v", r)
 	}
 	// The report is the rendered EXPLAIN ANALYZE layout, captured without
@@ -199,50 +265,89 @@ func TestSlowQueryLogRetention(t *testing.T) {
 		}
 	}
 	// Slow queries always retain their trace.
-	if r.TraceID == 0 {
-		t.Fatal("slow record has no trace")
-	}
 	tr := db.TraceByID(r.TraceID)
 	if tr == nil || !tr.Slow || len(tr.Spans) == 0 {
 		t.Fatalf("retained slow trace wrong: %+v", tr)
 	}
 
-	// Shrinking the ring drops the oldest records.
-	db.SetSlowLogCapacity(2)
-	recs = db.SlowLog()
-	if len(recs) != 2 || recs[0].ID != 3 || recs[1].ID != 2 {
-		t.Errorf("after shrink: %d records, IDs %v", len(recs), recs)
-	}
-	// The ring wraps at capacity: two more slow queries evict IDs 2–3.
-	for i := 0; i < 2; i++ {
+	// The kept ring wraps at its fixed capacity, oldest records first.
+	for i := 0; i < keptEventCapacity; i++ {
 		if _, err := db.Query(introspectSQL1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	recs = db.SlowLog()
-	if len(recs) != 2 || recs[0].ID != 5 || recs[1].ID != 4 {
-		t.Errorf("after wrap: IDs %d,%d want 5,4", recs[0].ID, recs[1].ID)
+	if len(recs) != keptEventCapacity || recs[0].TraceID != 3+keptEventCapacity || recs[len(recs)-1].TraceID != 4 {
+		t.Errorf("after wrap: %d records, trace IDs %d..%d; want %d, %d..4",
+			len(recs), recs[0].TraceID, recs[len(recs)-1].TraceID, keptEventCapacity, 3+keptEventCapacity)
+	}
+	if db.TraceByID(1) != nil {
+		t.Error("evicted trace 1 still resolves")
 	}
 
-	// Capacity 0 disables retention (the hook/counter path stays live).
-	db.SetSlowLogCapacity(0)
-	if _, err := db.Query(introspectSQL1); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(db.SlowLog()); n != 0 {
-		t.Errorf("%d records retained while disabled", n)
-	}
-
-	db.SetSlowLogCapacity(8)
-	if _, err := db.Query(introspectSQL1); err != nil {
-		t.Fatal(err)
-	}
-	if len(db.SlowLog()) != 1 {
-		t.Error("retention did not resume after re-enable")
-	}
 	db.ResetIntrospection()
-	if len(db.SlowLog()) != 0 || len(db.RetainedTraces()) != 0 || len(db.StatementStats()) != 0 {
+	if len(db.SlowLog()) != 0 || len(db.RetainedTraces()) != 0 || len(db.StatementStats()) != 0 || len(db.RecentEvents()) != 0 {
 		t.Error("ResetIntrospection left state behind")
+	}
+}
+
+// TestSlowLogSurvivesEventFlood: one slow run and one contained panic
+// stay in the slow log, their traces resolvable, after more than twice
+// the recent ring's capacity of fast runs — whether or not the flight
+// recorder (which feeds the recent ring) is on.
+func TestSlowLogSurvivesEventFlood(t *testing.T) {
+	for _, recorder := range []bool{true, false} {
+		t.Run(fmt.Sprintf("recorder=%v", recorder), func(t *testing.T) {
+			defer fault.Reset()
+			db := quoteDB(t)
+			insertSeries(t, db, "INTC", 10000, 60, 70, 55, 40, 80, 92, 70)
+			db.SetFlightRecorder(recorder)
+			q, err := db.Prepare(introspectSQL1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only the run held at the cluster fault point crosses the
+			// threshold.
+			db.SetSlowQueryThreshold(200 * time.Millisecond)
+			if err := fault.Arm("sqlts.execute.cluster", fault.Action{Delay: 250 * time.Millisecond, Times: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.Arm("sqlts.execute.cluster", fault.Action{Panic: "flood panic", Times: 1}); err != nil {
+				t.Fatal(err)
+			}
+			var pe *PanicError
+			if _, err := q.Run(); !errors.As(err, &pe) {
+				t.Fatalf("err = %v; want PanicError", err)
+			}
+			fault.Reset()
+			const flood = 600 // > 2 × defaultEventRingCapacity
+			for i := 0; i < flood; i++ {
+				if _, err := q.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var slow, panicked *obs.Event
+			for _, ev := range db.SlowLog() {
+				switch {
+				case ev.Slow && ev.ErrorKind == "":
+					slow = &ev
+				case ev.ErrorKind == "panic" && strings.Contains(ev.Report, "flood panic"):
+					panicked = &ev
+				}
+			}
+			if slow == nil || panicked == nil {
+				t.Fatalf("slow log lost a record after %d fast runs: slow=%v panic=%v", flood, slow != nil, panicked != nil)
+			}
+			for _, ev := range []*obs.Event{slow, panicked} {
+				if tr := db.TraceByID(ev.TraceID); tr == nil || len(tr.Spans) == 0 {
+					t.Errorf("trace %d (%s) no longer resolves to spans", ev.TraceID, ev.ErrorKind)
+				}
+			}
+		})
 	}
 }
 
@@ -265,24 +370,28 @@ func TestTraceSampling(t *testing.T) {
 	if len(traces) != 3 {
 		t.Fatalf("retained %d traces, want 3 (1-in-3 of 7 runs)", len(traces))
 	}
-	if traces[0].ID <= traces[1].ID {
+	if traces[0].TraceID <= traces[1].TraceID {
 		t.Error("traces not most-recent-first")
 	}
 	for _, tr := range traces {
-		if tr.Slow {
-			t.Errorf("sampled trace %d marked slow", tr.ID)
+		if tr.Slow || tr.Report != "" {
+			t.Errorf("sampled trace %d marked slow or carrying a report", tr.TraceID)
 		}
 		if len(tr.Spans) == 0 {
-			t.Errorf("trace %d has no spans", tr.ID)
+			t.Errorf("trace %d has no spans", tr.TraceID)
 		}
-		if db.TraceByID(tr.ID) != tr {
-			t.Errorf("TraceByID(%d) mismatch", tr.ID)
+		if got := db.TraceByID(tr.TraceID); got == nil || got.TraceID != tr.TraceID || got.Time != tr.Time {
+			t.Errorf("TraceByID(%d) mismatch", tr.TraceID)
 		}
+	}
+	// Sampled runs are not slow: the slow log stays empty.
+	if n := len(db.SlowLog()); n != 0 {
+		t.Errorf("slow log holds %d sampled runs", n)
 	}
 	// The statement entry points at its most recent trace.
 	snaps := db.StatementStats()
-	if len(snaps) != 1 || snaps[0].LastTraceID != traces[0].ID {
-		t.Errorf("last_trace_id = %d, want %d", snaps[0].LastTraceID, traces[0].ID)
+	if len(snaps) != 1 || snaps[0].LastTraceID != traces[0].TraceID {
+		t.Errorf("last_trace_id = %d, want %d", snaps[0].LastTraceID, traces[0].TraceID)
 	}
 
 	// Rate 0 turns sampling off.

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"sqlts/internal/engine"
 	"sqlts/internal/obs"
 )
 
@@ -190,40 +189,64 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 // for mounting at /metrics.
 func (db *DB) MetricsHandler() http.Handler { return db.metrics.reg.Handler() }
 
-// SlowQueryInfo describes one query execution that exceeded the
-// slow-query threshold.
-type SlowQueryInfo struct {
-	SQL      string // statement text as prepared
-	Executor string
-	Duration time.Duration
-	Rows     int // result rows
-	Stats    engine.Stats
+// SetSlowQueryThreshold marks every execution taking d or longer as
+// slow: it increments sqlts_slow_queries_total, and its event carries
+// the rendered report and the lifecycle trace, is retained for SlowLog
+// and bypasses sink sampling. To act on slow queries as they happen,
+// install an EventSink and check Event.Slow. A zero d disables the
+// threshold.
+func (db *DB) SetSlowQueryThreshold(d time.Duration) {
+	db.slowThreshold.Store(d.Nanoseconds())
 }
 
-// SetSlowQueryThreshold installs a slow-query hook: every execution
-// taking d or longer increments sqlts_slow_queries_total and, when fn is
-// non-nil, invokes fn synchronously from the executing goroutine (keep
-// it cheap; copy and hand off for heavy processing). A zero d disables
-// the hook.
-func (db *DB) SetSlowQueryThreshold(d time.Duration, fn func(SlowQueryInfo)) {
-	db.slowMu.Lock()
-	defer db.slowMu.Unlock()
-	db.slowThreshold = d
-	db.slowFn = fn
-	// Wide events reuse the same threshold for their slow flag (and the
-	// sink's sampling bypass).
-	db.flight.slowEvent.Store(d.Nanoseconds())
+// newEvent starts the per-execution record of one run of q; the caller
+// adds the outcome and hands it to publish.
+func (q *Query) newEvent(opts RunOptions, fl *obs.Flight, dur, admWait time.Duration) obs.Event {
+	th := q.db.slowThreshold.Load()
+	return obs.Event{
+		Time:            time.Now(),
+		QueryID:         fl.ID(),
+		SQL:             q.plan.key,
+		Executor:        q.effectiveExecutor(opts).String(),
+		DurationNs:      dur.Nanoseconds(),
+		AdmissionWaitNs: admWait.Nanoseconds(),
+		PlanCached:      q.planCached,
+		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
+		PlanRevision:    int64(q.plan.revision),
+		Slow:            th > 0 && dur.Nanoseconds() >= th,
+	}
 }
 
-// failRun records one failed execution: the error counter, the typed
-// error-class breakdown (metrics + statement stats), and — for contained
-// panics — the panic counter and a slow-log record carrying the captured
-// stack.
+// setEventError records a failed run's error and class on its event. A
+// contained panic's value and captured stack become the event's report:
+// the forensic trail the slow log keeps whatever the threshold.
+func setEventError(ev *obs.Event, err error) obs.ErrClass {
+	class := classifyError(err)
+	ev.Error = err.Error()
+	ev.ErrorKind = class.String()
+	var pe *PanicError
+	if class == obs.ErrPanic && errors.As(err, &pe) {
+		ev.Report = fmt.Sprintf("panic: %v\n\n%s", pe.Value, pe.Stack)
+	}
+	return class
+}
+
+// retainTrace attaches the run's lifecycle trace to its event under the
+// next DB-wide trace ID.
+func (db *DB) retainTrace(ev *obs.Event, tr *obs.Trace) {
+	ev.Spans = tr.Spans()
+	ev.TraceID = db.traceSeq.Add(1)
+}
+
+// failRun records one failed execution: the error counter and the typed
+// error-class breakdown in the metrics, and the event — carrying the
+// trace and the stack for a contained panic — in the statement stats,
+// the rings and the sink.
 func (db *DB) failRun(q *Query, opts RunOptions, fl *obs.Flight, err error, dur, admWait time.Duration) {
+	ev := q.newEvent(opts, fl, dur, admWait)
 	m := db.metrics
 	m.queryErrors.Inc()
-	class := classifyError(err)
-	switch class {
+	switch setEventError(&ev, err) {
 	case obs.ErrCanceled:
 		m.queriesCanceled.Inc()
 	case obs.ErrDeadline:
@@ -240,115 +263,62 @@ func (db *DB) failRun(q *Query, opts RunOptions, fl *obs.Flight, err error, dur,
 		// plain-cancellation counter.
 		m.queriesKilled.Inc()
 	}
-	entry := db.stmts.Get(q.plan.key)
-	entry.RecordError(class)
-	entry.RecordAdmissionWait(admWait.Nanoseconds())
-	if class == obs.ErrPanic {
-		db.recordPanic(q, opts, err, entry)
+	if ev.Report != "" {
+		db.retainTrace(&ev, q.trace)
 	}
-	db.emitEvent(q, opts, fl, nil, 0, dur, admWait, err)
+	db.stmts.Get(q.plan.key).Record(&ev)
+	db.publish(&ev)
 }
 
-// recordPanic lands a contained panic in the slow-query log (whatever
-// the threshold: a panic is always worth retaining) with the captured
-// stack as the record's report.
-func (db *DB) recordPanic(q *Query, opts RunOptions, err error, entry *obs.StmtStats) {
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		return
-	}
-	traceID := db.retainTrace(q, entry, true)
-	db.slow.add(SlowQueryRecord{
-		TraceID:  traceID,
-		Time:     time.Now(),
-		SQL:      q.plan.sql,
-		Executor: opts.Executor.String(),
-		Report:   fmt.Sprintf("panic: %v\n\n%s", pe.Value, pe.Stack),
-	})
-}
-
-// observeRun records one finished execution in the metrics registry and
-// the statement-stats store, samples the lifecycle trace, and feeds the
-// slow-query log and hook.
+// observeRun records one finished execution: its event feeds the
+// metrics registry, the statement stats (and through them the adaptive
+// optimizer), the rings and the sink. Slow runs add the rendered report
+// and, with 1-in-N sampled runs, the lifecycle trace.
 func (db *DB) observeRun(q *Query, opts RunOptions, fl *obs.Flight, res *Result, scanned int, dur, admWait time.Duration) {
+	ev := q.newEvent(opts, fl, dur, admWait)
+	ev.Rows = int64(len(res.Rows))
+	ev.RowsScanned = int64(scanned)
+	ev.Clusters = int64(len(res.clusterStats))
+	ev.PredEvals = res.Stats.PredEvals
+	ev.Rollbacks = res.Stats.Rollbacks
+	ev.Matches = int64(res.Stats.Matches)
+	ev.PartitionCached = res.partitionCached
+	ev.Vectorized = res.vectorized
+	ev.Shards = res.shardCount
+
 	m := db.metrics
 	m.queries.Inc()
-	m.rowsScanned.Add(int64(scanned))
-	m.rowsReturned.Add(int64(len(res.Rows)))
-	m.predEvals.Add(res.Stats.PredEvals)
-	m.rollbacks.Add(res.Stats.Rollbacks)
-	m.matches.Add(int64(res.Stats.Matches))
-	m.clustersScanned.Add(int64(len(res.clusterStats)))
+	m.rowsScanned.Add(ev.RowsScanned)
+	m.rowsReturned.Add(ev.Rows)
+	m.predEvals.Add(ev.PredEvals)
+	m.rollbacks.Add(ev.Rollbacks)
+	m.matches.Add(ev.Matches)
+	m.clustersScanned.Add(ev.Clusters)
 	m.queryDuration.Observe(dur.Seconds())
-	if res.vectorized {
+	if ev.Vectorized {
 		m.vectorizedRuns.Inc()
 	}
-	if res.shardCount > 1 {
+	if ev.Shards > 1 {
 		m.shardQueries.Inc()
 	}
+	if ev.Slow {
+		m.slowQueries.Inc()
+		ev.Report = q.reportBody(res, opts)
+	}
 
-	// Statement stats mirror the Result counters exactly: same values,
-	// bucketed by the plan's normalized-SQL key (nil entry = disabled).
+	// Statement stats fold the event: the same values as the Result
+	// counters, bucketed by the plan's normalized-SQL key (nil entry =
+	// disabled, which also stops trace sampling).
 	entry := db.stmts.Get(q.plan.key)
-	entry.RecordQuery(obs.QueryObs{
-		DurNs:           dur.Nanoseconds(),
-		Rows:            int64(len(res.Rows)),
-		RowsScanned:     int64(scanned),
-		PredEvals:       res.Stats.PredEvals,
-		Rollbacks:       res.Stats.Rollbacks,
-		Matches:         int64(res.Stats.Matches),
-		AdmissionWaitNs: admWait.Nanoseconds(),
-		PlanCached:      q.planCached,
-		PartitionCached: res.partitionCached,
-		Kernel:          !opts.NoKernel && q.plan.kernel != nil && q.plan.kernel.CompiledElems() > 0,
-		Naive:           q.effectiveExecutor(opts) == NaiveExec,
-		Vectorized:      res.vectorized,
-		PlanRevision:    int64(q.plan.revision),
-	})
+	rate := db.traceSampleRate.Load()
+	sampled := rate > 0 && entry != nil && entry.SampleTick()%rate == 0
+	if ev.Slow || sampled {
+		db.retainTrace(&ev, q.trace)
+	}
+	entry.Record(&ev)
 	if ms := res.maskStats; ms != nil && entry != nil {
 		entry.RecordMaskStats(int64(q.plan.revision), ms.Rows, ms.ElemHits, ms.CondHits)
 	}
 	db.maybeAdapt(q, opts, entry)
-	if rate := db.traceSampleRate.Load(); rate > 0 && entry != nil {
-		if tick := entry.SampleTick(); tick%rate == 0 {
-			db.retainTrace(q, entry, false)
-		}
-	}
-
-	db.emitEvent(q, opts, fl, res, scanned, dur, admWait, nil)
-
-	db.slowMu.Lock()
-	threshold, fn := db.slowThreshold, db.slowFn
-	db.slowMu.Unlock()
-	if threshold > 0 && dur >= threshold {
-		m.slowQueries.Inc()
-		db.recordSlow(q, opts, res, scanned, dur, entry)
-		if fn != nil {
-			fn(SlowQueryInfo{
-				SQL:      q.plan.sql,
-				Executor: opts.Executor.String(),
-				Duration: dur,
-				Rows:     len(res.Rows),
-				Stats:    res.Stats,
-			})
-		}
-	}
-}
-
-// recordSlow captures one over-threshold execution into the slow-query
-// ring: the retained trace, the run's counters, and the rendered report
-// (plan + phases + per-cluster stats — no re-execution happens here).
-func (db *DB) recordSlow(q *Query, opts RunOptions, res *Result, scanned int, dur time.Duration, entry *obs.StmtStats) {
-	traceID := db.retainTrace(q, entry, true)
-	db.slow.add(SlowQueryRecord{
-		TraceID:  traceID,
-		Time:     time.Now(),
-		SQL:      q.plan.sql,
-		Executor: opts.Executor.String(),
-		Duration: dur,
-		Rows:     len(res.Rows),
-		Scanned:  scanned,
-		Stats:    res.Stats,
-		Report:   q.reportBody(res, opts),
-	})
+	db.publish(&ev)
 }

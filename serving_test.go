@@ -1,12 +1,14 @@
 package sqlts
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"sqlts/internal/query"
 	"sqlts/internal/storage"
 )
 
@@ -520,5 +522,38 @@ func TestConcurrentServingStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalResults(t, fmt.Sprintf("final query %d", i), got, want)
+	}
+}
+
+// TestPrepareSQLLengthLimit: a flat, valid SELECT of exactly the 1 MiB
+// limit prepares and runs; one byte more fails with the typed syntax
+// error at the first byte past the limit, before any plan-cache work.
+func TestPrepareSQLLengthLimit(t *testing.T) {
+	db := quoteDB(t)
+	insertSeries(t, db, "INTC", 10000, 60, 70, 55, 56)
+	const head = "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) WHERE "
+	const tail = "Y.price > X.price"
+	stmt := func(n int) string {
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+
+	q, err := db.Prepare(stmt(maxSQLBytes))
+	if err != nil {
+		t.Fatalf("statement at the limit: %v", err)
+	}
+	if res, err := q.Run(); err != nil || len(res.Rows) != 2 {
+		t.Fatalf("statement at the limit: %v, %v", res, err)
+	}
+
+	_, err = db.Prepare(stmt(maxSQLBytes + 1))
+	var se *query.SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("statement past the limit: error %v (%T), want *query.SyntaxError", err, err)
+	}
+	if se.Line != 1 || se.Col != maxSQLBytes+1 || !strings.Contains(se.Msg, "longer than") {
+		t.Errorf("error %v at %d:%d, want the length limit at 1:%d", err, se.Line, se.Col, maxSQLBytes+1)
+	}
+	if _, err := db.Prepare("\n" + stmt(maxSQLBytes)); !errors.As(err, &se) || se.Line != 2 || se.Col != maxSQLBytes {
+		t.Errorf("multi-line statement past the limit: %v, want line 2 col %d", err, maxSQLBytes)
 	}
 }

@@ -82,21 +82,20 @@ type DB struct {
 	metrics *dbMetrics
 
 	// Statement introspection (introspect.go): per-statement stats keyed
-	// like the plan cache, the retained slow-query log, and sampled
-	// lifecycle traces. traceSampleRate is the 1-in-N per-statement
-	// sampling knob (0 = off).
+	// like the plan cache, and the ring of kept events (those carrying a
+	// report or a trace) behind the slow log and the trace export.
+	// traceSeq numbers retained traces; traceSampleRate is the 1-in-N
+	// per-statement sampling knob (0 = off); slowThreshold is the
+	// slow-run duration in ns (0 = off).
 	stmts           *obs.StmtStore
-	slow            *slowLog
-	traces          *traceStore
+	kept            *obs.EventRing
+	traceSeq        atomic.Uint64
 	traceSampleRate atomic.Int64
-
-	slowMu        sync.Mutex
-	slowThreshold time.Duration
-	slowFn        func(SlowQueryInfo)
+	slowThreshold   atomic.Int64
 
 	// flight is the query flight recorder (flight.go): the active-query
-	// registry behind /debug/queries and remote kill, plus the wide-event
-	// sink/ring.
+	// registry behind /debug/queries and remote kill, plus the event
+	// sink and the recent-event ring.
 	flight flightState
 
 	// admit is the concurrent-query admission gate (admission.go);
@@ -117,12 +116,11 @@ func New() *DB {
 		parts:    newLRU[*cachedPartition](defaultPartitionCacheCapacity),
 		metrics:  newDBMetrics(),
 		stmts:    obs.NewStmtStore(defaultStatementCapacity),
-		slow:     newSlowLog(defaultSlowLogCapacity),
-		traces:   newTraceStore(defaultTraceCapacity),
+		kept:     obs.NewEventRing(keptEventCapacity),
 	}
 	db.SetShards(1)
 	db.flight.flights = obs.NewFlightRegistry()
-	db.flight.ring.Store(obs.NewEventRing(defaultEventRingCapacity))
+	db.flight.recent = obs.NewEventRing(defaultEventRingCapacity)
 	db.flight.sample.Store(1)
 	return db
 }
@@ -502,12 +500,30 @@ type Query struct {
 	lastPath []engine.PathPoint
 }
 
+// maxSQLBytes bounds the statement text Prepare accepts. A prepared
+// statement's text is retained whole as its plan-cache key, its
+// statement-stats key and the SQL of every event it runs, so an
+// unbounded statement would pin unbounded memory. It is a constant,
+// not an option; Exec's scripts (bulk multi-row INSERTs) are not
+// bounded by it.
+const maxSQLBytes = 1 << 20
+
 // Prepare parses, analyzes and optimizes a SELECT or EXPLAIN [ANALYZE]
 // SELECT statement. Repeated Prepares of the same (whitespace-
 // normalized) text are served from the DB's plan cache and skip the
 // entire compile pipeline; the cache revalidates against the catalog
-// version, so DDL and DeclarePositive force recompilation.
+// version, so DDL and DeclarePositive force recompilation. A statement
+// longer than 1 MiB fails with a *query.SyntaxError at its first byte
+// past the limit.
 func (db *DB) Prepare(sql string) (*Query, error) {
+	if len(sql) > maxSQLBytes {
+		head := sql[:maxSQLBytes]
+		return nil, &query.SyntaxError{
+			Line: 1 + strings.Count(head, "\n"),
+			Col:  maxSQLBytes - strings.LastIndexByte(head, '\n'),
+			Msg:  fmt.Sprintf("statement longer than %d bytes", maxSQLBytes),
+		}
+	}
 	key := normalizeSQL(sql)
 	if p := db.lookupPlan(key); p != nil {
 		tr := obs.NewTrace()
@@ -777,8 +793,7 @@ func (q *Query) admitContained(ctx context.Context) (release func(), wait time.D
 
 // runMeasured executes the query through the full lifecycle — deadline
 // setup, admission, cooperative execution — records the execution span,
-// feeds the metrics registry and fires the slow-query hook. Failures of
-// every class (cancellation, deadline, budget, contained panic,
+// and publishes the run's event (observeRun). Failures of every class (cancellation, deadline, budget, contained panic,
 // admission rejection, plain errors) are accounted by failRun.
 func (q *Query) runMeasured(opts RunOptions) (*Result, error) {
 	ctx := opts.Context

@@ -161,7 +161,6 @@ func (st *Stream) contain(err *error) {
 	pe := &PanicError{Statement: st.q.plan.key, Value: r, Stack: debug.Stack()}
 	st.failed = pe
 	st.q.db.metrics.queryPanics.Inc()
-	st.entry.RecordError(obs.ErrPanic)
 	*err = pe
 }
 
